@@ -1,4 +1,4 @@
-"""A deterministic IR interpreter.
+"""A deterministic IR interpreter with three execution engines.
 
 Semantics:
 
@@ -17,6 +17,43 @@ memory-SSA-annotated, or post-phi-elimination — because memory
 annotations carry no runtime meaning.  It counts executed singleton
 loads/stores and per-block frequencies, which is everything Tables 1 and
 2 need.
+
+Engines.  ``Interpreter(compiled=False)`` runs the *classic* loop, an
+``isinstance`` dispatch per instruction that is the executable
+specification.  ``compiled=True`` (the default) runs two tiers that
+produce exactly what the classic loop produces — same output, return
+value, globals, step count, operation counters, block profile, and the
+same error type and message:
+
+* **tier 0** (the closure engine) translates each executed block into
+  one closure per instruction, afresh every run.  It starts instantly,
+  so short runs end here: a run first gets a budget of
+  :data:`TIER_UP_STEPS_PER_INSTRUCTION` steps per static IR instruction
+  of the module.
+* the **translated tier** turns each called IR function into one Python
+  function (registers become locals, blocks become branches of a
+  ``while`` loop, phis become one tuple assignment per CFG edge) and
+  runs that through ``compile()``.  A run that outgrows its tier-0
+  budget restarts from scratch here.  Steps are charged once per block,
+  and the operation counters are derived after the run from per-function
+  block counts times each block's static operation counts.
+
+Deopt.  The translated tier only handles the regular case.  Anything
+irregular — the step or depth limit, an out-of-bounds index, a pointer
+used as an integer, a read of an unassigned register, a missing phi
+edge, an unknown callee or instruction — abandons the translated run and
+re-runs the program in tier 0 with the full step budget, so every error
+is raised by an engine that reports it exactly.  Runs with
+``externals`` never leave tier 0: a callback must not see a re-run.
+
+Memo.  A translated run translates every function it calls, but
+``compile()`` costs about three times as much, so compiled code is kept
+in a process-wide LRU of :data:`repro.profile.translate.CODE_MEMO_SIZE`
+entries.  It is keyed by the generated source text itself, so a hit is
+exact by construction: everything run-specific (global storage, limits, the
+result being filled) is bound when the code is instantiated for a run.
+The re-execution after promotion therefore reuses the profiling run's
+code for every function promotion left untouched.
 """
 
 from __future__ import annotations
@@ -28,6 +65,13 @@ from repro.ir.basicblock import BasicBlock
 from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import Const, Undef, Value, VReg
+from repro.observability.metrics import ambient
+
+#: Tier-0 step budget per static IR instruction of the module.  A run
+#: that executes more steps restarts in the translated tier.  The
+#: break-even derivation from measured compile cost per instruction and
+#: saving per step is in docs/PERFORMANCE.md.
+TIER_UP_STEPS_PER_INSTRUCTION = 20
 
 
 class InterpreterError(RuntimeError):
@@ -98,15 +142,27 @@ class ExecutionResult:
     _globals_final: Dict[str, int] = {}
 
 
+class _TierUp(Exception):
+    """Tier 0 used up its budget; the run restarts in the translated tier."""
+
+
+class _Deopt(Exception):
+    """The translated tier met something irregular; the run restarts in
+    tier 0 with the full step budget."""
+
+
 class Interpreter:
-    """``compiled=True`` (the default) lazily translates each executed
-    basic block into a list of closures once per run and drives those,
-    skipping the per-instruction ``isinstance`` dispatch of the classic
-    loop.  Both engines implement identical semantics — same step
-    accounting, same errors in the same order, same profiles — and the
-    test suite holds them to that; ``compiled=False`` keeps the classic
-    loop as the executable specification (and the timing harness's
-    baseline arm)."""
+    """Runs a module from an entry function.
+
+    ``compiled=False`` pins the classic loop, the executable
+    specification.  ``compiled=True`` (the default) runs tier 0 within a
+    budget of :data:`TIER_UP_STEPS_PER_INSTRUCTION` steps per static
+    instruction, restarts a run that exceeds it in the translated tier,
+    and re-runs in tier 0 with the full ``max_steps`` whenever the
+    translated tier deopts; with ``externals`` it stays in tier 0.  The
+    engines agree on every observable, errors included (see the module
+    docstring), and the test suite holds them to that.  Each run
+    records ``interp.*`` counters in the ambient metrics registry."""
 
     def __init__(
         self,
@@ -123,21 +179,52 @@ class Interpreter:
         self.compiled = compiled
 
     def run(self, entry: str = "main", args: Sequence[int] = ()) -> ExecutionResult:
-        result = ExecutionResult()
-        globals_store: Dict[int, List[int]] = {}
-        for var in self.module.globals.values():
-            globals_store[id(var)] = var.initial_cells()
-
         function = self.module.functions.get(entry)
         if function is None:
             raise InterpreterError(f"no entry function {entry!r}")
-        if self.compiled:
-            engine = _CompiledRun(self, result, globals_store)
-            result.return_value = engine.call(function, list(args), 0)
+        args = list(args)
+        metrics = ambient()
+        if not self.compiled:
+            result = self._run_classic(function, args)
+            metrics.inc("interp.runs.classic")
+        elif self.externals or any(type(a) is not int for a in args):
+            # A callback must not see a re-run, and translated code
+            # trusts that only its own pointers are not exact ints.
+            result = self._run_closures(function, args, self.max_steps)
+            metrics.inc("interp.runs.tier0")
         else:
-            result.return_value = self._call(
-                function, list(args), globals_store, result, 0
+            budget = TIER_UP_STEPS_PER_INSTRUCTION * sum(
+                len(block.instructions)
+                for fn in self.module.functions.values()
+                for block in fn.blocks
             )
+            try:
+                result = self._run_closures(
+                    function, args, min(budget, self.max_steps)
+                )
+                metrics.inc("interp.runs.tier0")
+            except _TierUp:
+                try:
+                    result = self._run_translated(function, args, metrics)
+                    metrics.inc("interp.runs.translated")
+                except _Deopt:
+                    metrics.inc("interp.deopts")
+                    result = self._run_closures(function, args, self.max_steps)
+                    metrics.inc("interp.runs.tier0")
+        metrics.inc("interp.steps", result.steps)
+        return result
+
+    # -- engines ---------------------------------------------------------
+
+    def _fresh(self) -> Tuple[ExecutionResult, Dict[int, List[int]]]:
+        globals_store: Dict[int, List[int]] = {}
+        for var in self.module.globals.values():
+            globals_store[id(var)] = var.initial_cells()
+        return ExecutionResult(), globals_store
+
+    def _finish(
+        self, result: ExecutionResult, globals_store: Dict[int, List[int]]
+    ) -> ExecutionResult:
         result._globals_final = {
             var.name: globals_store[id(var)][0]
             for var in self.module.globals.values()
@@ -145,7 +232,42 @@ class Interpreter:
         }
         return result
 
-    # -- execution -------------------------------------------------------
+    def _run_classic(self, function: Function, args: List[int]) -> ExecutionResult:
+        result, globals_store = self._fresh()
+        result.return_value = self._call(function, args, globals_store, result, 0)
+        return self._finish(result, globals_store)
+
+    def _run_closures(
+        self, function: Function, args: List[int], step_cap: int
+    ) -> ExecutionResult:
+        """Tier 0; raises :class:`_TierUp` past ``step_cap`` when that
+        is below ``max_steps``."""
+        result, globals_store = self._fresh()
+        engine = _CompiledRun(self, result, globals_store, step_cap)
+        result.return_value = engine.call(function, args, 0)
+        return self._finish(result, globals_store)
+
+    def _run_translated(
+        self, function: Function, args: List[int], metrics
+    ) -> ExecutionResult:
+        """The translated tier; raises :class:`_Deopt` on anything
+        irregular."""
+        from repro.profile.translate import TranslatedRun
+
+        result, globals_store = self._fresh()
+        linker = TranslatedRun(self, result, globals_store)
+        try:
+            result.return_value = linker[function.name](0, *args)
+        except Exception as exc:
+            raise _Deopt from exc
+        finally:
+            metrics.inc("interp.memo.hits", linker.memo_hits)
+            metrics.inc("interp.memo.misses", linker.memo_misses)
+            metrics.observe("interp.translate_ms", linker.translate_s * 1e3)
+        linker.account()
+        return self._finish(result, globals_store)
+
+    # -- the classic loop --------------------------------------------------
 
     def _call(
         self,
@@ -208,8 +330,11 @@ class Interpreter:
             index = 0
             for inst in block.instructions:
                 if isinstance(inst, I.Phi):
-                    assert prev_block is not None, "phi in entry block"
-                    phi_updates.append((inst.dst, value(inst.value_for(prev_block))))
+                    if prev_block is None:
+                        raise InterpreterError(_entry_phi_message(block))
+                    phi_updates.append(
+                        (inst.dst, value(_phi_operand(inst, block, prev_block)))
+                    )
                 elif not isinstance(inst, I.MemPhi):
                     break
                 index += 1
@@ -312,11 +437,55 @@ def run_module(
     return Interpreter(module, **kwargs).run(entry, args)
 
 
+def _run_engine(
+    engine: str,
+    module: Module,
+    entry: str = "main",
+    args: Sequence[int] = (),
+    **kwargs,
+) -> ExecutionResult:
+    """Run one engine alone, with no tiering: ``"classic"``, ``"tier0"``
+    (the closure engine with the full step budget) or ``"translated"``
+    (which raises :class:`_Deopt` instead of falling back).  The test
+    suite's handle for holding the engines to each other."""
+    interp = Interpreter(module, **kwargs)
+    function = module.functions[entry]
+    if engine == "classic":
+        return interp._run_classic(function, list(args))
+    if engine == "tier0":
+        return interp._run_closures(function, list(args), interp.max_steps)
+    if engine == "translated":
+        return interp._run_translated(function, list(args), ambient())
+    raise ValueError(f"unknown engine {engine!r}")
+
+
 def _bounds_check(array, idx: int, cells: List[int]) -> None:
     if not 0 <= idx < len(cells):
         raise InterpreterError(
             f"index {idx} out of bounds for @{array.name}[{len(cells)}]"
         )
+
+
+def _entry_phi_message(block: BasicBlock) -> str:
+    return f"phi in entry block {block.name}"
+
+
+def _incoming(phi: I.Phi, pred: BasicBlock) -> Optional[Value]:
+    """``phi``'s value on the edge from ``pred``, or None if it has none."""
+    for block, value in phi.incoming:
+        if block is pred:
+            return value
+    return None
+
+
+def _phi_operand(phi: I.Phi, block: BasicBlock, pred: BasicBlock) -> Value:
+    value = _incoming(phi, pred)
+    if value is None:
+        raise InterpreterError(
+            f"phi {phi.dst} in block {block.name} has no incoming value "
+            f"for block {pred.name}"
+        )
+    return value
 
 
 def _binop(op: str, a: int, b: int) -> int:
@@ -371,7 +540,7 @@ def _unop(op: str, a: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Compiled execution engine
+# Tier 0: the closure engine
 # ---------------------------------------------------------------------------
 #
 # Each executed basic block is translated once per run into a tuple
@@ -390,19 +559,6 @@ def _unop(op: str, a: int) -> int:
 # execution time, not before).
 
 _RETURN = object()
-
-
-def _value(env: Dict[VReg, object], v: Value) -> object:
-    """Runtime value read for phi operands (mirrors ``value()`` above)."""
-    if isinstance(v, Const):
-        return v.value
-    if isinstance(v, Undef):
-        return 0
-    if isinstance(v, VReg):
-        if v not in env:
-            raise InterpreterError(f"read of unassigned register {v}")
-        return env[v]
-    raise InterpreterError(f"cannot evaluate {v!r}")
 
 
 def _getter(v: Value):
@@ -426,6 +582,18 @@ def _getter(v: Value):
         raise InterpreterError(f"cannot evaluate {v!r}")
 
     return bad
+
+
+def _phi_getter(phi: I.Phi, block: BasicBlock, pred: BasicBlock):
+    """Compile ``phi``'s read on the edge from ``pred``."""
+    try:
+        return _getter(_phi_operand(phi, block, pred))
+    except InterpreterError as exc:
+
+        def missing(env, exc=exc):
+            raise InterpreterError(str(exc))
+
+        return missing
 
 
 def _int_getter(v: Value):
@@ -528,15 +696,16 @@ _UN_FNS: Dict[str, Callable[[int], int]] = {
 
 
 class _CompiledRun:
-    """One compiled execution: the per-run code map plus the driver."""
+    """One tier-0 execution: the per-run code map plus the dispatch loop."""
 
-    __slots__ = ("interp", "result", "globals_store", "codemap", "retval")
+    __slots__ = ("interp", "result", "globals_store", "codemap", "retval", "step_cap")
 
     def __init__(
         self,
         interp: Interpreter,
         result: ExecutionResult,
         globals_store: Dict[int, List[int]],
+        step_cap: int,
     ) -> None:
         self.interp = interp
         self.result = result
@@ -544,6 +713,15 @@ class _CompiledRun:
         #: id(block) -> (phis, phi_edges, ops); valid for this run only.
         self.codemap: Dict[int, tuple] = {}
         self.retval: int = 0
+        #: Steps this run may take: ``max_steps``, or the tier-up budget.
+        self.step_cap = step_cap
+
+    def _over_cap(self) -> Exception:
+        max_steps = self.interp.max_steps
+        if self.step_cap < max_steps:
+            return _TierUp()
+        steps = self.result.steps
+        return InterpreterLimitError(f"exceeded {max_steps} steps", steps=steps)
 
     def call(self, function: Function, args: List[int], depth: int) -> int:
         interp = self.interp
@@ -572,7 +750,7 @@ class _CompiledRun:
 
         result = self.result
         codemap = self.codemap
-        max_steps = interp.max_steps
+        step_cap = self.step_cap
         block_counts = result.block_counts
         block = function.entry
         prev_block: Optional[BasicBlock] = None
@@ -584,14 +762,15 @@ class _CompiledRun:
             block_counts[block] = block_counts.get(block, 0) + 1
 
             if phis:
-                assert prev_block is not None, "phi in entry block"
+                if prev_block is None:
+                    raise InterpreterError(_entry_phi_message(block))
                 moves = phi_edges.get(id(prev_block))
                 if moves is None:
-                    # First arrival via this edge; value_for raises
-                    # KeyError for a missing edge, exactly like the
-                    # classic loop's per-visit lookup.
+                    # First arrival via this edge.  A missing incoming
+                    # value compiles to a getter that raises, so errors
+                    # surface in phi order, like the classic loop's.
                     moves = phi_edges[id(prev_block)] = [
-                        (phi.dst, _getter(phi.value_for(prev_block))) for phi in phis
+                        (phi.dst, _phi_getter(phi, block, prev_block)) for phi in phis
                     ]
                 if len(moves) == 1:
                     dst, get = moves[0]
@@ -603,10 +782,8 @@ class _CompiledRun:
 
             for op in ops:
                 result.steps += 1
-                if result.steps > max_steps:
-                    raise InterpreterLimitError(
-                        f"exceeded {max_steps} steps", steps=result.steps
-                    )
+                if result.steps > step_cap:
+                    raise self._over_cap()
                 nxt = op(env, cells_of, depth)
                 if nxt is not None:
                     if nxt is _RETURN:

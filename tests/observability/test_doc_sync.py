@@ -116,13 +116,17 @@ def recorded_names():
     names.update(_static_names("service/router.py"))
     names.update(_static_names("ssa/css96.py"))
     names.update(_static_names("promotion/pipeline.py"))
+    # The translated tier's counters need a run past the tier-up budget.
+    names.update(_static_names("profile/interp.py"))
     # resilience.<outcome> is recorded via string concatenation; the
     # chaos run above covers "transient", these cover the rest.
     names.update({"resilience.timeout", "resilience.worker_crash"})
     return names
 
 
-_LITERAL = re.compile(r"""\.(?:inc|set)\(\s*f?"([a-z_.{}\[\]a-zA-Z0-9]+)"\s*[,)]""")
+_LITERAL = re.compile(
+    r"""\.(?:inc|set|observe)\(\s*f?"([a-z_.{}\[\]a-zA-Z0-9]+)"\s*[,)]"""
+)
 
 
 def _static_names(relpath: str):
