@@ -89,12 +89,11 @@ def measure_workload(
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
     keep_pool: bool = True,
 ) -> BenchmarkRow:
     """Compile a workload, run a promoter, return the counts row.
 
-    ``jobs``/``use_cache``/``batch_size``/``keep_pool``/``resilience``/
+    ``jobs``/``use_cache``/``keep_pool``/``resilience``/
     ``observability`` configure the paper pipeline's execution layer
     only; the baselines have no parallel path (and their counts would be
     identical anyway).  Passing one ``observability`` bundle across
@@ -112,7 +111,6 @@ def measure_workload(
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=batch_size,
             keep_pool=keep_pool,
         )
     else:

@@ -6,8 +6,7 @@ Usage::
     repro-report --table 2      # dynamic counts only
     repro-report --table 3      # register pressure
     repro-report --compare      # ours vs Lu-Cooper vs Mahlke
-    repro-report --jobs 4       # parallel promotion (identical tables)
-    repro-report --jobs 4 --batch-size 1 --no-keep-pool  # legacy dispatch
+    repro-report --jobs 4 --timeout 60   # worker processes (identical tables)
     repro-report --timing BENCH_pipeline.json   # time the exec layers
     repro-report --timing out.json --perf-baseline benchmarks/BENCH_baseline.json
     repro-report --jobs 2 --chaos "crash=0.15,seed=1234" --timeout 10
@@ -104,28 +103,12 @@ def _surface_router_metrics(diagnostics_dir: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _batch_size(value: str):
-    """``--batch-size`` values: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {value!r}"
-        )
-    return count
-
-
 def collect_rows(
     promoter: str = "sastry-ju",
     jobs: int = 1,
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
     keep_pool: bool = True,
 ):
     return [
@@ -136,7 +119,6 @@ def collect_rows(
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=batch_size,
             keep_pool=keep_pool,
         )
         for name in ORDER
@@ -148,7 +130,6 @@ def collect_json(
     use_cache: bool = True,
     resilience=None,
     observability=None,
-    batch_size="auto",
     keep_pool: bool = True,
 ) -> dict:
     """All evaluation data as one JSON-serializable document."""
@@ -157,7 +138,6 @@ def collect_json(
         use_cache=use_cache,
         resilience=resilience,
         observability=observability,
-        batch_size=batch_size,
         keep_pool=keep_pool,
     )
     doc: dict = {"workloads": {}, "pressure": []}
@@ -208,7 +188,6 @@ def run_timing(
     out_path: str,
     jobs: int,
     perf_baseline: Optional[str] = None,
-    batch_size="auto",
     keep_pool: bool = True,
 ) -> int:
     """``--timing``: benchmark the execution layers, optionally gate."""
@@ -221,7 +200,7 @@ def run_timing(
     )
 
     try:
-        bench = time_suite(jobs=jobs, batch_size=batch_size)
+        bench = time_suite(jobs=jobs)
     finally:
         if not keep_pool:
             from repro.parallel.pool import shutdown_pools
@@ -304,22 +283,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=None,
         metavar="N",
-        help="worker processes for promotion (0 = one per CPU; "
-        "default 1, or 4 with --timing)",
+        help="worker processes: --timing runs whole workloads in them, "
+        "--timeout/--retries/--chaos run promotion in them; otherwise "
+        "promotion runs in-process (0 = one per CPU; default 1, or 4 "
+        "with --timing)",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default="auto",
-        metavar="auto|N",
-        help="work units per worker task: 'auto' sizes batches from the "
-        "warm pool's cost model, an integer forces fixed-count batches "
-        "(default auto)",
     )
     parser.add_argument(
         "--keep-pool",
@@ -491,7 +463,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             options.timing,
             jobs=jobs,
             perf_baseline=options.perf_baseline,
-            batch_size=options.batch_size,
             keep_pool=options.keep_pool,
         )
     if options.perf_baseline:
@@ -507,7 +478,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     use_cache=use_cache,
                     resilience=resilience,
                     observability=observability,
-                    batch_size=options.batch_size,
                     keep_pool=options.keep_pool,
                 ),
                 indent=2,
@@ -525,7 +495,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             use_cache=use_cache,
             resilience=resilience,
             observability=observability,
-            batch_size=options.batch_size,
             keep_pool=options.keep_pool,
         )
         bad = [r.name for r in rows if not r.output_matches]

@@ -12,13 +12,11 @@ process tree:
 ``parallel``
     the optimized layer fanned out over ``jobs`` shared-nothing worker
     processes at workload granularity (each worker promotes a whole
-    workload; :func:`repro.parallel.scheduler.map_tasks`).  The arm runs
-    on the persistent warm pool: workers are spun up and their imports
-    warmed *before* the clock starts (``pool_warmup_seconds`` reports
-    that separately), and workloads are grouped into batches weighted by
-    the serial arm's measured per-workload seconds, so the timed window
-    contains promotion work rather than pool spin-up and per-task
-    pickling.
+    workload in-process; :func:`repro.parallel.scheduler.map_tasks`, one
+    task per workload).  The arm runs on the persistent warm pool:
+    workers are spun up and their imports warmed *before* the clock
+    starts (``pool_warmup_seconds`` reports that separately), so the
+    timed window contains promotion work rather than pool spin-up.
 
 Every arm records per-workload wall-clock seconds and a fingerprint of
 everything observable — the transformed IR, the Table 1/2 counts, the
@@ -119,7 +117,6 @@ def _fingerprint(module, result) -> str:
 def time_suite(
     jobs: int = 4,
     workloads: Optional[List[str]] = None,
-    batch_size="auto",
 ) -> Dict[str, object]:
     """Run all three arms over the suite; returns the BENCH document."""
     names = list(workloads or ORDER)
@@ -127,11 +124,9 @@ def time_suite(
 
     arms: Dict[str, dict] = {}
     fingerprints: Dict[str, Dict[str, str]] = {}
-    serial_seconds: Dict[str, float] = {}
     for arm in ARMS:
         arm_jobs = jobs if arm == "parallel" else 1
         entry: Dict[str, object] = {}
-        weights = None
         transport: Optional[dict] = None
         if arm == "parallel":
             # Spin the warm pool up (worker spawn + pipeline imports)
@@ -144,21 +139,14 @@ def time_suite(
                 entry["pool_warmup_seconds"] = round(
                     warm_pool(arm_jobs).prewarm(), 4
                 )
-            # Weight batches by the serial arm's measured seconds — the
-            # best available prediction of each workload's cost here.
-            weights = [serial_seconds.get(name, 1.0) for name in names]
         started = time.perf_counter()
         rows = map_tasks(
             run_workload_arm,
             [(name, arm, arm_jobs) for name in names],
             arm_jobs,
-            weights=weights,
-            batch_size=batch_size,
             stats=transport,
         )
         total = time.perf_counter() - started
-        if arm == "serial":
-            serial_seconds = {row["workload"]: row["seconds"] for row in rows}
         fingerprints[arm] = {row["workload"]: row["fingerprint"] for row in rows}
         entry.update(
             {

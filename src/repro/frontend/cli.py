@@ -44,21 +44,6 @@ def _error(message: str) -> int:
     return 2
 
 
-def _batch_size(value: str):
-    """``--batch-size`` values: ``auto`` or a positive integer."""
-    if value == "auto":
-        return "auto"
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected 'auto' or a positive integer, got {value!r}"
-        )
-    return count
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-minic", description="mini-C compiler and runner"
@@ -104,22 +89,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for promotion (0 = one per CPU; "
-        "results are identical to a serial run)",
+        help="worker processes for promotion under --timeout/--retries/"
+        "--chaos (0 = one per CPU; results are identical to a serial "
+        "run); without those flags promotion runs in-process",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the per-function analysis cache",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=_batch_size,
-        default="auto",
-        metavar="auto|N",
-        help="functions per worker task: 'auto' sizes batches from the "
-        "pool's cost model, an integer forces fixed-count batches "
-        "(1 = one task per function; default auto)",
     )
     parser.add_argument(
         "--keep-pool",
@@ -262,11 +239,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if options.baseline is not None and (
         options.jobs != 1
         or options.no_cache
-        or options.batch_size != "auto"
         or not options.keep_pool
     ):
         print(
-            "repro-minic: note: --jobs/--no-cache/--batch-size/--keep-pool "
+            "repro-minic: note: --jobs/--no-cache/--keep-pool "
             "only apply to --promote; the baselines run serially",
             file=sys.stderr,
         )
@@ -284,7 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         pipeline = PromotionPipeline(
             jobs=options.jobs,
             use_cache=not options.no_cache,
-            batch_size=options.batch_size,
             keep_pool=options.keep_pool,
             resilience=resilience,
             observability=observability,

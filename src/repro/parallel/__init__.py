@@ -1,11 +1,12 @@
 """Parallel, cache-aware execution layer for the promotion pipeline.
 
-Five pieces:
+Four pieces:
 
 * :mod:`repro.parallel.cache` — a per-function :class:`AnalysisCache`
   memoizing dominator trees, iterated dominance frontiers, and liveness
   across pipeline phases, keyed by IR fingerprints so mutation is
-  invalidation.
+  invalidation.  One cache lives for one pipeline run (or one worker
+  attempt).
 * :mod:`repro.parallel.transport` — pickle-based IR payloads that move
   functions and modules between shared-nothing worker processes while
   preserving the module/global sharing discipline.
@@ -13,27 +14,22 @@ Five pieces:
   invalidation plus *content* fingerprints (:func:`content_fingerprint`,
   :func:`module_fingerprint`) that drive the incremental transport: only
   functions whose content changed since the last dispatch are re-shipped.
-* :mod:`repro.parallel.batching` — the :class:`CostModel` (static
-  instruction/block prior blended with measured per-function timings)
-  and :func:`plan_batches`, which cut the pending function list into
-  contiguous module-order batches; :class:`TransportStats` reports what
-  a dispatch shipped vs reused.
 * :mod:`repro.parallel.scheduler` and :mod:`repro.parallel.pool` — the
-  batched scheduler and the persistent warm worker pools it runs on.
-  Import them directly (``from repro.parallel import scheduler``;
+  one function-level worker dispatch (per-function tasks under the
+  resilient executor; :class:`~repro.parallel.scheduler.TransportStats`
+  reports what it shipped) and the persistent warm worker pools it runs
+  on.  Import them directly (``from repro.parallel import scheduler``;
   ``from repro.parallel.pool import warm_pool``); they are not
-  re-exported here because the scheduler imports promotion passes, which
-  would make ``import repro.parallel`` drag in — and cycle with — the
-  pipeline.
+  re-exported here because the pipeline imports the scheduler, and the
+  scheduler's worker side imports the pipeline.
 
-When workers may misbehave (deadlines, crash recovery, retry/backoff,
-quarantine, chaos injection), the pipeline wraps this layer with
-:class:`repro.robustness.executor.ResilientExecutor`; enable it with
-``PromotionPipeline(resilience=ResilienceOptions(...))`` or the CLI's
-``--timeout``/``--retries``/``--chaos`` flags.
+Phases 3+4 run in-process by default; they go to worker processes only
+under :class:`repro.robustness.executor.ResilientExecutor` (deadlines,
+crash recovery, retry/backoff, quarantine, chaos injection).  Enable it
+with ``PromotionPipeline(jobs=N, resilience=ResilienceOptions(...))`` or
+the CLI's ``--timeout``/``--retries``/``--chaos`` flags.
 """
 
-from repro.parallel.batching import CostModel, TransportStats, plan_batches
 from repro.parallel.cache import (
     AnalysisCache,
     CacheStats,
@@ -71,9 +67,6 @@ __all__ = [
     "content_fingerprint",
     "globals_fingerprint",
     "module_fingerprint",
-    "CostModel",
-    "TransportStats",
-    "plan_batches",
     "FunctionPayload",
     "ModulePayload",
     "TransportError",

@@ -64,21 +64,6 @@ class CacheStats:
             self.hits[kind] += other.hits[kind]
             self.misses[kind] += other.misses[kind]
 
-    def copy(self) -> "CacheStats":
-        dup = CacheStats()
-        dup.absorb(self)
-        return dup
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """The counter delta accumulated after ``earlier`` was copied —
-        how one run reports per-run stats against a long-lived shared
-        cache whose counters span many runs."""
-        delta = CacheStats()
-        for kind in self.KINDS:
-            delta.hits[kind] = self.hits[kind] - earlier.hits[kind]
-            delta.misses[kind] = self.misses[kind] - earlier.misses[kind]
-        return delta
-
     def as_dict(self) -> Dict[str, object]:
         return {
             "hits": dict(self.hits),
@@ -121,9 +106,9 @@ class _FunctionEntry:
 class AnalysisCache:
     """Memoized dominator trees, IDFs, and liveness per function.
 
-    Shared-nothing by design: each pipeline run (and each parallel worker)
-    owns its own instance, so no locking is needed and hit rates describe
-    exactly one run.
+    Shared-nothing by design: each pipeline run (and each worker attempt)
+    owns its own instance, so no locking is needed, hit rates describe
+    exactly one run, and nothing the cache pins outlives it.
     """
 
     def __init__(self) -> None:

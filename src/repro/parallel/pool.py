@@ -3,21 +3,18 @@
 The original scheduler created a ``ProcessPoolExecutor`` per pipeline
 run with the whole module pickled into the pool *initializer*: every run
 paid worker spawn-up, a full module broadcast, and interpreter/module
-import costs before the first function promoted.  That overhead is why
-the committed baseline once recorded the parallel arm *losing* to
-serial.  This module replaces that lifecycle with process pools that
-survive across runs (and across modules) and a pull-based epoch
-protocol that ships only what changed.
+import costs before the first function promoted.  This module replaces
+that lifecycle with process pools that survive across runs (and across
+modules) and a pull-based epoch protocol that ships only what changed.
 
 **Pool lifecycle.**  :func:`warm_pool` hands out one :class:`WarmPool`
 per worker count, process-wide.  The pool owns a plain executor (no
-initializer — workers are blank until a task syncs them), a
-``multiprocessing.Manager`` board for epoch publication, the persistent
-:class:`~repro.parallel.batching.CostModel`, and the dispatch cache.
-``rebuild()`` is the *single* recovery path — the scheduler's
-infrastructure failures and the resilient executor's crash/hang
-recovery both land here — and keeps the board, so rebuilt workers
-resynchronize from the already-published epoch without a new broadcast.
+initializer — workers are blank until a task syncs them) and a
+``multiprocessing.Manager`` board for epoch publication.  ``rebuild()``
+is the *single* recovery path — the resilient executor's crash/hang
+recovery and :func:`~repro.parallel.scheduler.map_tasks` failures both
+land here — and keeps the board, so rebuilt workers resynchronize from
+the already-published epoch without a new broadcast.
 
 **Epoch protocol.**  Before dispatching, the parent publishes to the
 board (under the pool lease):
@@ -43,13 +40,13 @@ handled by construction.
 Workers keep their module copy **pristine**: the scheduler restores the
 pre-promotion snapshot after capturing each result payload, so the
 module a worker holds always matches the published epoch and the next
-run can reuse it.
+task can reuse it.  The module copy is the only state a worker keeps
+across tasks; analysis caches live for one attempt.
 """
 
 from __future__ import annotations
 
 import atexit
-import collections
 import hashlib
 import multiprocessing
 import os
@@ -59,8 +56,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from repro.parallel.batching import CostModel
-from repro.parallel.cache import AnalysisCache
 from repro.parallel.fingerprint import globals_fingerprint, module_fingerprint
 from repro.parallel.transport import (
     FunctionPayload,
@@ -73,17 +68,14 @@ from repro.parallel.transport import (
 #: rebuilds progressively slower.
 MAX_CHAIN = 8
 
-#: Replayable dispatch results kept per pool (LRU).
-DISPATCH_CACHE_LIMIT = 512
-
 
 class WarmPool:
     """One persistent worker pool plus its transport state.
 
     Callers serialize whole dispatches through :attr:`lock` (the service
     engine's threads contend on it safely); everything below the lock —
-    executor, manager board, epoch bookkeeping, cost model, dispatch
-    cache — is owned by the lease holder for the duration of a run.
+    executor, manager board, epoch bookkeeping — is owned by the lease
+    holder for the duration of a run.
     """
 
     def __init__(self, jobs: int) -> None:
@@ -97,11 +89,6 @@ class WarmPool:
         self.rebuilds = 0
         self.runs = 0
         self.prewarmed = False
-        self.dispatch_hits = 0
-        self.cost_model = CostModel()
-        self._dispatch_cache: "collections.OrderedDict[tuple, object]" = (
-            collections.OrderedDict()
-        )
         self._executor: Optional[ProcessPoolExecutor] = None
         self._manager = None
         self._board = None
@@ -204,21 +191,6 @@ class WarmPool:
         self.board()
         return self._manager.dict()
 
-    # -- dispatch cache ---------------------------------------------------
-
-    def dispatch_lookup(self, key: tuple):
-        result = self._dispatch_cache.get(key)
-        if result is not None:
-            self._dispatch_cache.move_to_end(key)
-            self.dispatch_hits += 1
-        return result
-
-    def dispatch_store(self, key: tuple, result) -> None:
-        self._dispatch_cache[key] = result
-        self._dispatch_cache.move_to_end(key)
-        while len(self._dispatch_cache) > DISPATCH_CACHE_LIMIT:
-            self._dispatch_cache.popitem(last=False)
-
     # -- lifecycle --------------------------------------------------------
 
     def shutdown(self) -> None:
@@ -246,8 +218,6 @@ class WarmPool:
             "rebuilds": self.rebuilds,
             "runs": self.runs,
             "prewarmed": self.prewarmed,
-            "dispatch_entries": len(self._dispatch_cache),
-            "dispatch_hits": self.dispatch_hits,
             "epoch_published": self._epoch is not None,
         }
 
@@ -255,26 +225,16 @@ class WarmPool:
 # -- epoch publication (parent side) --------------------------------------
 
 
-def publish_epoch(
-    pool: WarmPool,
-    module,
-    meta_blob: bytes,
-    precomputed: Optional[Tuple[str, Dict[str, str]]] = None,
-) -> Tuple[str, str, Dict[str, str], int]:
+def publish_epoch(pool: WarmPool, module, meta_blob: bytes) -> Tuple[str, str, int]:
     """Bring the pool's board up to date with ``module`` + ``meta_blob``.
 
-    Returns ``(module_key, meta_key, per_function_fps, bytes_published)``.
+    Returns ``(module_key, meta_key, bytes_published)``.
     Caller must hold the pool lease.  Publication is incremental: an
     unchanged module publishes nothing, a partially-changed module
     appends one delta entry, and only structural changes (function set,
     globals table, overlong chain) re-anchor with a full payload.
-    ``precomputed`` lets a caller that already fingerprinted the module
-    (for dispatch-cache lookups) skip the second walk.
     """
-    if precomputed is not None:
-        ir_key, fps = precomputed
-    else:
-        ir_key, fps = module_fingerprint(module)
+    ir_key, fps = module_fingerprint(module)
     gkey = globals_fingerprint(module)
     meta_key = hashlib.sha256(meta_blob).hexdigest()
     board = pool.board()
@@ -324,13 +284,13 @@ def publish_epoch(
         board["meta"] = (meta_key, meta_blob)
         epoch["meta_key"] = meta_key
         bytes_out += len(meta_blob)
-    return ir_key, meta_key, fps, bytes_out
+    return ir_key, meta_key, bytes_out
 
 
 # -- worker side -----------------------------------------------------------
 
-#: This worker process's transport state: its module copy, the epoch
-#: keys it is synchronized to, its persistent analysis cache.
+#: This worker process's transport state: its module copy and the epoch
+#: keys it is synchronized to.
 _WORKER: dict = {}
 
 
@@ -401,12 +361,6 @@ def _sync_worker(board, ir_key: str, meta_key: str) -> Dict[str, int]:
                 )
             meta = pickle.loads(meta_entry[1])
             module = state["module"]
-            cache = state.get("cache")
-            if not meta["use_cache"]:
-                cache = None
-            elif cache is None:
-                cache = AnalysisCache()
-                state["cache"] = cache
             scheduler._WORKER_STATE = {
                 "module": module,
                 "model": meta["alias_model_factory"](module),
@@ -418,7 +372,6 @@ def _sync_worker(board, ir_key: str, meta_key: str) -> Dict[str, int]:
                 "verify": meta["verify"],
                 "use_cache": meta["use_cache"],
                 "observe": meta["observe"],
-                "cache": cache,
                 "extras": meta.get("extras") or {},
             }
             state["meta_key"] = meta_key

@@ -1,56 +1,46 @@
-"""The shared-nothing function-level scheduler.
+"""The shared-nothing function-level worker dispatch.
 
 Sastry & Ju's algorithm is embarrassingly parallel at function
 granularity: each function's interval tree, memory-SSA webs, and
 promotion decisions depend only on that function's IR, the module-level
-profile, and an alias model built from the *pre-promotion* module.  The
-scheduler exploits that:
+profile, and an alias model built from the *pre-promotion* module.  A
+default pipeline nevertheless runs phases 3+4 in-process, because they
+are a small share of a run and shipping the work costs more than the
+work itself.  Worker processes are used only when the caller asks for
+containment (``PromotionPipeline(resilience=...)``):
 
-* dispatch runs on a **persistent warm pool**
-  (:mod:`repro.parallel.pool`): workers survive across runs, pull the
-  module via the incremental epoch protocol (full anchor once, deltas
-  for changed functions after), and keep their analysis caches hot —
-  workers still share nothing at promotion time, so there is no locking
-  and no cross-talk;
-* each task is one **batch** of function names, contiguous in module
-  order and sized by the pool's cost model
-  (:mod:`repro.parallel.batching`), so per-task pickling and future
-  overhead amortize over many functions; the worker runs phases 3+4
-  (memory SSA, promotion, cleanup, verification) per function on its
-  copy, ships the transformed IR back as :class:`FunctionPayload`\\ s,
-  and then **restores its copy** so the next run finds the module at
-  the published epoch;
-* functions whose content fingerprint, profile slice, and configuration
-  match a previous dispatch are **replayed** from the pool's dispatch
-  cache without shipping anything (conservative alias model only — a
-  custom factory could read module state the fingerprints do not
-  cover);
+* :func:`promote_functions_parallel` is the one function-level dispatch.
+  It runs the :class:`~repro.robustness.executor.ResilientExecutor`
+  (deadlines, retry, crash recovery, quarantine) over the **persistent
+  warm pool** (:mod:`repro.parallel.pool`), one task per function
+  attempt.  Workers pull the module via the incremental epoch protocol
+  (full anchor once, deltas for changed functions after) and share
+  nothing at promotion time;
+* the worker runs phases 3+4 with the pipeline's own per-function stage
+  sequence (:func:`repro.promotion.pipeline.promote_stages`) on its copy,
+  ships the transformed IR back as a :class:`FunctionPayload`, and then
+  **restores its copy** so the next task finds the module at the
+  published epoch;
 * the parent merges results **in module order** regardless of completion
   order, so statistics, diagnostics, and the final IR are deterministic
-  and byte-identical to a serial run.
+  and byte-identical to an in-process run.
 
-Failures inside a worker reproduce the serial transaction semantics: the
-worker restores its local snapshot, reports the failing stage and error,
-and the parent records a rollback without installing anything — exactly
-what the serial path's snapshot/restore does.
+Failures inside a worker reproduce the in-process transaction semantics:
+the worker restores its local snapshot, reports the failing stage and
+error, and the parent records a rollback without installing anything.
 
-Pool-level failures (a worker dying, unpicklable user callables) rebuild
-the warm pool — the same recovery path the resilient executor uses — and
-degrade to the serial path with a diagnostic warning rather than failing
-the run.
+:func:`map_tasks` is the generic fan-out the timing harness uses at
+*workload* granularity: one future per task on the same warm pool.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
-import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.analysis.intervals import IntervalTree
-from repro.parallel.batching import CostModel, TransportStats, plan_batches
 from repro.parallel.cache import AnalysisCache, CacheStats, activate
-from repro.parallel.transport import FunctionPayload, export_profile
+from repro.parallel.transport import FunctionPayload
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -122,44 +112,43 @@ class FunctionResult:
         self.decisions = decisions
 
 
-class SchedulerError(RuntimeError):
-    """The pool could not be used; callers should fall back to serial.
+class TransportStats:
+    """What one worker dispatch shipped and received.
 
-    Carries the triggering failure in structured form — exception type,
-    first message line, and (when one task was identifiable) the
-    function whose result exposed the failure — so the pipeline can
-    record a ``fallback_reason`` instead of discarding the cause.
+    Reported on :class:`~repro.promotion.pipeline.PipelineResult` (never
+    inside the diagnostics — transport volume is machine-local noise and
+    must stay out of the byte-identical output fingerprint, exactly like
+    cache hit counts).
     """
 
-    def __init__(
-        self,
-        message: str,
-        error_type: Optional[str] = None,
-        detail: Optional[str] = None,
-        function: Optional[str] = None,
-    ) -> None:
-        super().__init__(message)
-        self.error_type = error_type
-        self.detail = detail
-        self.function = function
+    def __init__(self) -> None:
+        #: Worker tasks submitted this run: one per function attempt, so
+        #: retries count again.
+        self.batches = 0
+        #: Functions dispatched to workers this run.
+        self.functions_shipped = 0
+        #: Worker-side full module installs (anchor downloads) and
+        #: per-function delta installs triggered by this run's tasks.
+        self.installs_full = 0
+        self.installs_delta = 0
+        #: Parent -> workers: epoch publication bytes (anchor payloads,
+        #: delta chains, meta blobs) this run actually added.
+        self.bytes_out = 0
+        #: Workers -> parent: transformed-IR payload bytes received.
+        self.bytes_in = 0
+        #: Pool identity the run started on (warm-pool generation lets
+        #: tests assert "same pool as last run").
+        self.pool_generation: Optional[int] = None
 
-    @classmethod
-    def wrap(cls, exc: BaseException, function: Optional[str] = None) -> "SchedulerError":
-        detail = (str(exc) or type(exc).__name__).splitlines()[0]
-        where = f" (while collecting {function!r})" if function else ""
-        return cls(
-            f"parallel promotion unavailable ({type(exc).__name__}: {detail})"
-            f"{where}; falling back to serial execution",
-            error_type=type(exc).__name__,
-            detail=detail,
-            function=function,
-        )
-
-    def as_dict(self) -> Dict[str, Optional[str]]:
+    def as_dict(self) -> Dict[str, object]:
         return {
-            "error_type": self.error_type,
-            "detail": self.detail,
-            "function": self.function,
+            "batches": self.batches,
+            "functions_shipped": self.functions_shipped,
+            "installs_full": self.installs_full,
+            "installs_delta": self.installs_delta,
+            "bytes_out": self.bytes_out,
+            "bytes_in": self.bytes_in,
+            "pool_generation": self.pool_generation,
         }
 
 
@@ -176,10 +165,9 @@ _WORKER_STATE: Optional[dict] = None
 _STAGE_OBSERVER: Optional[Callable[[str, str], None]] = None
 
 
-def _enter_stage(name: str, stage: str) -> str:
+def _enter_stage(name: str, stage: str) -> None:
     if _STAGE_OBSERVER is not None:
         _STAGE_OBSERVER(name, stage)
-    return stage
 
 
 def _promote_one(name: str) -> FunctionResult:
@@ -188,12 +176,11 @@ def _promote_one(name: str) -> FunctionResult:
     The worker's copy is left **pristine**: after capturing the result
     payload (or on failure) the pre-promotion snapshot is restored, so
     the module always matches the epoch the pool published and the next
-    run's incremental sync stays valid.
+    task's incremental sync stays valid.  Every call uses a fresh
+    analysis cache, so nothing outlives the attempt.
     """
     # Imported here: the pipeline imports this module, so a top-level
     # import would be circular.
-    from repro.ir.verify import verify_function
-    from repro.memory.memssa import build_memory_ssa
     from repro.observability import (
         NULL_OBSERVABILITY,
         DecisionJournal,
@@ -201,20 +188,13 @@ def _promote_one(name: str) -> FunctionResult:
         activate_decisions,
         activate_metrics,
     )
-    from repro.passes.copyprop import propagate_copies
-    from repro.passes.dce import (
-        dead_code_elimination,
-        dead_memory_elimination,
-        remove_dummy_loads,
-    )
     from repro.profile.profiles import ProfileData
-    from repro.promotion.driver import promote_function
+    from repro.promotion.pipeline import promote_stages
     from repro.robustness.snapshot import snapshot_function
 
     state = _WORKER_STATE
     assert state is not None, "worker used before epoch synchronization"
-    module = state["module"]
-    function = module.functions[name]
+    function = state["module"].functions[name]
     # ProfileData is keyed by block *identity*, and this function's block
     # objects are replaced by every snapshot restore and delta install —
     # so bind a fresh function-local profile from the name-keyed map on
@@ -225,14 +205,7 @@ def _promote_one(name: str) -> FunctionResult:
         freq = counts.get(block.name)
         if freq is not None:
             profile.set_freq(block, freq)
-    cache = None
-    if state["use_cache"]:
-        # The warm pool keeps a persistent per-worker cache; fall back
-        # to a per-call one when none was provisioned.
-        cache = state.get("cache") or AnalysisCache()
-    # A persistent cache carries cumulative counters; report per-call
-    # deltas so the parent's module-order aggregation stays additive.
-    cache_before = cache.stats.copy() if cache is not None else None
+    cache = AnalysisCache() if state["use_cache"] else None
     extras = state.get("extras") or {}
     obs = (
         Observability.recording(trace_id=extras.get("trace"))
@@ -242,66 +215,47 @@ def _promote_one(name: str) -> FunctionResult:
     journal = DecisionJournal() if extras.get("decisions") else None
 
     snap = snapshot_function(function)
-    started = time.perf_counter()
-    stage = _enter_stage(name, "memssa")
     with activate(cache), activate_metrics(
         obs.metrics if obs.enabled else None
-    ), activate_decisions(journal), obs.tracer.span(
-        "function:" + name, category="promote"
-    ) as fn_span:
-        try:
-            # The parent already normalized the CFG in phase 1; recompute
-            # the (deterministic) interval tree on this copy.
-            with obs.tracer.span("stage:memssa", category="promote"):
-                tree = IntervalTree.compute(function)
-                mssa = build_memory_ssa(function, state["model"])
-            stage = _enter_stage(name, "promote")
-            with obs.tracer.span("stage:promote", category="promote"):
-                stats = promote_function(
-                    function, mssa, profile, tree, state["options"]
-                )
-            stage = _enter_stage(name, "cleanup")
-            with obs.tracer.span("stage:cleanup", category="promote"):
-                remove_dummy_loads(function)
-                propagate_copies(function)
-                dead_code_elimination(function)
-                dead_memory_elimination(function)
-            stage = _enter_stage(name, "verify")
-            with obs.tracer.span("stage:verify", category="promote"):
-                if state["verify"]:
-                    verify_function(function, check_ssa=True, check_memssa=True)
-        except Exception as exc:
-            snap.restore()
-            fn_span.set("status", "rolled_back").set("stage", stage)
-            text = str(exc) or type(exc).__name__
-            result = FunctionResult(
-                name,
-                FunctionResult.ROLLED_BACK,
-                stage=stage,
-                error_type=type(exc).__name__,
-                reason=text.splitlines()[0],
-                duration_ms=(time.perf_counter() - started) * 1e3,
-                cache_stats=(
-                    cache.stats.since(cache_before) if cache is not None else None
-                ),
-            )
-        else:
-            fn_span.set("status", "promoted")
-            fn_span.set("webs_promoted", stats.webs_promoted)
-            payload = FunctionPayload.capture(function)
-            # Restore-after-capture: the parent installs the payload;
-            # this copy stays at the published epoch for the next run.
-            snap.restore()
-            result = FunctionResult(
-                name,
-                FunctionResult.PROMOTED,
-                duration_ms=(time.perf_counter() - started) * 1e3,
-                stats=stats.as_dict(),
-                payload=payload,
-                cache_stats=(
-                    cache.stats.since(cache_before) if cache is not None else None
-                ),
-            )
+    ), activate_decisions(journal):
+        # The parent already normalized the CFG in phase 1; the
+        # (deterministic) interval tree is recomputed on this copy.
+        stats, error, stage, duration_ms = promote_stages(
+            function,
+            state["model"],
+            profile,
+            None,
+            state["options"],
+            state["verify"],
+            obs.tracer,
+            snap,
+            on_stage=_enter_stage,
+        )
+    cache_stats = cache.stats if cache is not None else None
+    if error is not None:
+        text = str(error) or type(error).__name__
+        result = FunctionResult(
+            name,
+            FunctionResult.ROLLED_BACK,
+            stage=stage,
+            error_type=type(error).__name__,
+            reason=text.splitlines()[0],
+            duration_ms=duration_ms,
+            cache_stats=cache_stats,
+        )
+    else:
+        payload = FunctionPayload.capture(function)
+        # Restore-after-capture: the parent installs the payload; this
+        # copy stays at the published epoch for the next task.
+        snap.restore()
+        result = FunctionResult(
+            name,
+            FunctionResult.PROMOTED,
+            duration_ms=duration_ms,
+            stats=stats.as_dict(),
+            payload=payload,
+            cache_stats=cache_stats,
+        )
     if obs.enabled:
         result.spans = obs.tracer.export()
         result.metrics = obs.metrics.as_dict()
@@ -311,55 +265,7 @@ def _promote_one(name: str) -> FunctionResult:
     return result
 
 
-def _promote_batch(
-    board, ir_key: str, meta_key: str, names: Sequence[str]
-) -> Tuple[Dict[str, int], List[FunctionResult], int]:
-    """One worker task: sync to the epoch, promote a batch of functions.
-
-    Returns the sync accounting (full/delta installs this task caused),
-    the per-function results in batch order, and the total transformed-IR
-    payload bytes headed back to the parent.
-    """
-    from repro.parallel.pool import _sync_worker
-
-    sync = _sync_worker(board, ir_key, meta_key)
-    results = [_promote_one(name) for name in names]
-    payload_bytes = sum(
-        len(result.payload.data) for result in results if result.payload is not None
-    )
-    return sync, results, payload_bytes
-
-
 # -- parent side ----------------------------------------------------------
-
-
-def _options_key(options) -> tuple:
-    """A hashable digest of a :class:`PromotionOptions` (flat fields)."""
-    try:
-        fields = vars(options)
-    except TypeError:
-        return (repr(options),)
-    return tuple(sorted((key, repr(value)) for key, value in fields.items()))
-
-
-def _replay(result: FunctionResult) -> FunctionResult:
-    """A dispatch-cache hit, stripped of the original run's bookkeeping.
-
-    The payload and stats are byte-identical to re-running the worker
-    (that is the dispatch key's contract); the cache counters and spans
-    describe work the *original* dispatch did and must not be charged to
-    this run.
-    """
-    return FunctionResult(
-        result.name,
-        result.status,
-        stage=result.stage,
-        error_type=result.error_type,
-        reason=result.reason,
-        duration_ms=result.duration_ms,
-        stats=result.stats,
-        payload=result.payload,
-    )
 
 
 def promote_functions_parallel(
@@ -370,136 +276,42 @@ def promote_functions_parallel(
     alias_model_factory: Callable,
     verify: bool,
     jobs: int,
-    use_cache: bool = True,
+    use_cache: bool,
+    resilience,
     observe: bool = False,
-    pool=None,
-    batch_size: Union[str, int] = "auto",
     extras: Optional[Dict[str, object]] = None,
-) -> Tuple[List[FunctionResult], TransportStats]:
-    """Fan phases 3+4 out over the warm pool; results in ``names`` order.
+):
+    """Phases 3+4 for ``names`` on the ``jobs``-worker warm pool.
 
-    The dispatch is batched (``batch_size="auto"`` sizes batches from
-    the pool's cost model; an integer forces fixed-count batches) and
-    incremental: the module ships as an anchor-plus-deltas epoch, and
-    functions whose fingerprinted content and configuration match a
-    previous dispatch replay that dispatch's result without touching a
-    worker at all.  ``observe`` makes each worker record spans and
-    metrics for its tasks (and disables dispatch replay, which would
-    have no spans to report).
-
-    Returns the results plus a :class:`TransportStats` describing what
-    was shipped vs reused.  Raises :class:`SchedulerError` when the pool
-    cannot be used at all (e.g. an unpicklable alias-model factory)
-    after rebuilding it; the caller falls back to the serial path.
+    Runs the resilient executor under ``resilience`` (a
+    :class:`~repro.robustness.executor.ResilienceOptions`) and returns
+    ``(outcomes, report, transport)``: one
+    :class:`~repro.robustness.executor.ResilientOutcome` per name **in
+    ``names`` order**, the executor's
+    :class:`~repro.robustness.executor.ExecutorReport`, and a
+    :class:`TransportStats`.  ``observe`` makes each worker record spans
+    and metrics; ``extras`` (decision journaling, a trace id) ride the
+    epoch's meta blob.  Raises
+    :class:`~repro.robustness.executor.ResilientExecutorError` when the
+    pool never made progress; the caller falls back to in-process.
     """
-    from repro.memory.aliasing import AliasModel
-    from repro.parallel.fingerprint import globals_fingerprint, module_fingerprint
-    from repro.parallel.pool import publish_epoch, warm_pool
+    from repro.robustness.executor import ResilientExecutor
 
-    if pool is None:
-        pool = warm_pool(jobs)
-    stats = TransportStats()
-    profile_map = export_profile(profile, module)
-    # Replaying a previous dispatch is only sound when the fingerprints
-    # cover everything the promotion read: the conservative alias model
-    # reads the globals table (fingerprinted) and the function's own
-    # frame variables (fingerprinted); a custom factory could read
-    # arbitrary module state, so it always dispatches.
-    # ``==``, not ``is``: classmethod access builds a fresh bound-method
-    # object every time, so identity would never match.
-    # ``extras`` (decision journaling, a trace id) also disables replay:
-    # a cached dispatch has no decision document or trace-stamped spans.
-    reuse_ok = (
-        use_cache
-        and not observe
-        and not extras
-        and alias_model_factory == AliasModel.conservative
+    executor = ResilientExecutor(
+        module,
+        names,
+        profile,
+        options,
+        alias_model_factory,
+        verify,
+        jobs,
+        use_cache,
+        resilience,
+        observe=observe,
+        extras=extras,
     )
-    with pool.lock:
-        pool.runs += 1
-        stats.pool_generation = pool.generation
-        try:
-            ir_key, fps = module_fingerprint(module)
-            gkey = globals_fingerprint(module)
-        except Exception as exc:
-            raise SchedulerError.wrap(exc) from exc
-        opt_key = _options_key(options)
-        keys: Dict[str, tuple] = {}
-        for name in names:
-            slice_key = tuple(sorted((profile_map.get(name) or {}).items()))
-            keys[name] = (name, fps[name], gkey, slice_key, opt_key, verify)
-        results_by_name: Dict[str, FunctionResult] = {}
-        pending: List[str] = []
-        for name in names:
-            cached = pool.dispatch_lookup(keys[name]) if reuse_ok else None
-            if cached is not None:
-                results_by_name[name] = _replay(cached)
-                stats.functions_reused += 1
-            else:
-                pending.append(name)
-        if pending:
-            meta = {
-                "profile_map": profile_map,
-                "options": options,
-                "alias_model_factory": alias_model_factory,
-                "verify": verify,
-                "use_cache": use_cache,
-                "observe": observe,
-                "extras": dict(extras or {}),
-            }
-            try:
-                meta_blob = pickle.dumps(meta, protocol=pickle.HIGHEST_PROTOCOL)
-                ir_key, meta_key, fps, published = publish_epoch(
-                    pool, module, meta_blob, precomputed=(ir_key, fps)
-                )
-            except Exception as exc:
-                raise SchedulerError.wrap(exc) from exc
-            stats.bytes_out += published
-            sizes = {
-                name: CostModel.static_units(module.functions[name])
-                for name in pending
-            }
-            weights = pool.cost_model.weights(sizes)
-            batches = plan_batches(pending, weights, jobs, batch_size)
-            stats.batches = len(batches)
-            try:
-                board = pool.board()
-                futures = [
-                    pool.submit(_promote_batch, board, ir_key, meta_key, tuple(batch))
-                    for batch in batches
-                ]
-                for batch, future in zip(batches, futures):
-                    try:
-                        sync, batch_results, payload_bytes = future.result()
-                    except Exception as exc:
-                        # Attribute the failure to the batch whose result
-                        # exposed it; the pipeline records this as the
-                        # structured fallback reason.  The rebuild below
-                        # leaves the pool fresh for the next run — the
-                        # same recovery path chaos crashes take.
-                        pool.rebuild(kill=True)
-                        raise SchedulerError.wrap(exc, function=batch[0]) from exc
-                    stats.installs_full += sync["installs_full"]
-                    stats.installs_delta += sync["installs_delta"]
-                    stats.bytes_in += payload_bytes
-                    for result in batch_results:
-                        results_by_name[result.name] = result
-                        stats.functions_shipped += 1
-                        if result.duration_ms > 0:
-                            pool.cost_model.observe(result.name, result.duration_ms)
-                        if reuse_ok and result.status == FunctionResult.PROMOTED:
-                            pool.dispatch_store(keys[result.name], result)
-            except SchedulerError:
-                raise
-            except Exception as exc:
-                pool.rebuild(kill=True)
-                raise SchedulerError.wrap(exc) from exc
-        return [results_by_name[name] for name in names], stats
-
-
-def _run_task_batch(worker: Callable, batch: List[tuple]) -> List[object]:
-    """Worker body for :func:`map_tasks`: one future, many tasks."""
-    return [worker(*args) for args in batch]
+    outcomes, report = executor.run()
+    return outcomes, report, executor.transport
 
 
 def map_tasks(
@@ -507,20 +319,18 @@ def map_tasks(
     task_args: Sequence[tuple],
     jobs: int,
     pool=None,
-    weights: Optional[Sequence[float]] = None,
-    batch_size: Union[str, int] = "auto",
     stats: Optional[dict] = None,
 ) -> List[object]:
     """Generic shared-nothing fan-out: run ``worker(*args)`` for each args
-    tuple on the warm pool, returning results in submission order.
+    tuple on the warm pool, one future per task, returning results in
+    submission order.
 
     Used by the timing harness to parallelize at *workload* granularity
     (each task compiles and promotes one workload in a pool worker).
-    Tasks are grouped into contiguous batches — one future each — sized
-    by ``weights`` (e.g. measured per-task seconds; uniform when
-    omitted).  ``worker`` must be a module-level callable and all
-    arguments and results must be picklable.  Passing a ``stats`` dict
-    fills it with ``batches``/``bytes_out``/``bytes_in`` accounting.
+    ``worker`` must be a module-level callable and all arguments and
+    results must be picklable.  Passing a ``stats`` dict fills it with
+    ``batches`` (tasks submitted) and ``bytes_out``/``bytes_in``
+    accounting.
     """
     task_args = list(task_args)
     if stats is not None:
@@ -531,37 +341,23 @@ def map_tasks(
 
     if pool is None:
         pool = warm_pool(jobs)
-    indices = list(range(len(task_args)))
-    weight_map = {
-        index: (weights[index] if weights is not None else 1.0)
-        for index in indices
-    }
-    batches = plan_batches(indices, weight_map, jobs, batch_size)
     with pool.lock:
         pool.runs += 1
-        futures = []
-        for batch in batches:
-            payload = [task_args[index] for index in batch]
-            if stats is not None:
-                stats["bytes_out"] += len(
-                    pickle.dumps((worker, payload), protocol=pickle.HIGHEST_PROTOCOL)
-                )
-            futures.append(pool.submit(_run_task_batch, worker, payload))
         if stats is not None:
-            stats["batches"] = len(batches)
-        results: Dict[int, object] = {}
+            stats["batches"] = len(task_args)
+            stats["bytes_out"] = sum(
+                len(pickle.dumps((worker, args), protocol=pickle.HIGHEST_PROTOCOL))
+                for args in task_args
+            )
         try:
-            for batch, future in zip(batches, futures):
-                batch_results = future.result()
-                if stats is not None:
-                    stats["bytes_in"] += len(
-                        pickle.dumps(
-                            batch_results, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                    )
-                for index, value in zip(batch, batch_results):
-                    results[index] = value
+            futures = [pool.submit(worker, *args) for args in task_args]
+            results = [future.result() for future in futures]
         except Exception:
             pool.rebuild(kill=True)
             raise
-    return [results[index] for index in indices]
+        if stats is not None:
+            stats["bytes_in"] = sum(
+                len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
+                for value in results
+            )
+    return results

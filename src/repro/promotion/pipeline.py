@@ -31,9 +31,10 @@ The result object carries everything Tables 1 and 2 need.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.intervals import IntervalTree, normalize_for_promotion
+from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.verify import verify_function, verify_module
 from repro.memory.aliasing import AliasModel
@@ -47,11 +48,9 @@ from repro.observability import (
     activate_metrics,
 )
 from repro.observability.export import SCHEMA_VERSION
-from repro.parallel.batching import TransportStats
 from repro.parallel.cache import AnalysisCache, CacheStats, activate
 from repro.parallel.scheduler import (
-    FunctionResult,
-    SchedulerError,
+    TransportStats,
     promote_functions_parallel,
     resolve_jobs,
 )
@@ -79,7 +78,6 @@ from repro.robustness.bisect import isolate_culprits
 from repro.robustness.diagnostics import BisectionReport, PipelineDiagnostics
 from repro.robustness.executor import (
     ResilienceOptions,
-    ResilientExecutor,
     ResilientExecutorError,
     ResilientOutcome,
 )
@@ -135,15 +133,15 @@ class PipelineResult:
         self.profile: Optional[ProfileData] = None
         #: Per-function outcomes, warnings, and the bisection report.
         self.diagnostics = PipelineDiagnostics()
-        #: Worker count phases 3+4 actually ran with (1 = serial).
+        #: Worker count phases 3+4 actually ran with (1 = in-process).
         self.jobs_used = 1
         #: Analysis-cache hit/miss counters, aggregated over the parent
-        #: run and (in parallel mode, in module order) every worker.
-        #: ``None`` when caching was disabled.
+        #: run and (under the worker dispatch, in module order) every
+        #: worker attempt.  ``None`` when caching was disabled.
         self.cache_stats: Optional[CacheStats] = None
-        #: What the parallel dispatch shipped vs reused
-        #: (:class:`~repro.parallel.batching.TransportStats`); ``None``
-        #: for serial runs.  Kept off the diagnostics on purpose —
+        #: What the worker dispatch shipped and received
+        #: (:class:`~repro.parallel.scheduler.TransportStats`); ``None``
+        #: for in-process runs.  Kept off the diagnostics on purpose —
         #: transport volume is machine-local and must stay out of the
         #: byte-identical output fingerprint, like cache counters.
         self.transport_stats: Optional[TransportStats] = None
@@ -189,6 +187,69 @@ def _behaviour_matches(before: ExecutionResult, after: ExecutionResult) -> bool:
     )
 
 
+def _ignore_stage(name: str, stage: str) -> None:
+    pass
+
+
+def promote_stages(
+    function: Function,
+    model: AliasModel,
+    profile: ProfileData,
+    tree: Optional[IntervalTree],
+    options: PromotionOptions,
+    verify: bool,
+    tracer,
+    snap: Optional[FunctionSnapshot],
+    on_stage: Callable[[str, str], None] = _ignore_stage,
+) -> Tuple[Optional[FunctionPromotionStats], Optional[Exception], str, float]:
+    """Phases 3+4 for one function — the one per-function stage sequence,
+    in-process and in worker processes alike.
+
+    Runs memssa → promote → cleanup → verify inside a ``function:<name>``
+    span with one ``stage:<stage>`` child each, and returns ``(stats,
+    error, stage, duration_ms)``.  On failure ``snap`` is restored,
+    ``stats`` is ``None``, and ``error`` is the exception ``stage``
+    raised; without a snapshot (a non-transactional run) the failure
+    propagates.  ``tree=None`` recomputes the interval tree (a worker's
+    copy); ``on_stage(name, stage)`` is called as each stage starts.
+    """
+    name = function.name
+    started = time.perf_counter()
+    stage = "memssa"
+    with tracer.span("function:" + name, category="promote") as fn_span:
+        try:
+            on_stage(name, stage)
+            with tracer.span("stage:memssa", category="promote"):
+                if tree is None:
+                    tree = IntervalTree.compute(function)
+                mssa = build_memory_ssa(function, model)
+            stage = "promote"
+            on_stage(name, stage)
+            with tracer.span("stage:promote", category="promote"):
+                stats = promote_function(function, mssa, profile, tree, options)
+            stage = "cleanup"
+            on_stage(name, stage)
+            with tracer.span("stage:cleanup", category="promote"):
+                remove_dummy_loads(function)
+                propagate_copies(function)
+                dead_code_elimination(function)
+                dead_memory_elimination(function)
+            stage = "verify"
+            on_stage(name, stage)
+            with tracer.span("stage:verify", category="promote"):
+                if verify:
+                    verify_function(function, check_ssa=True, check_memssa=True)
+        except Exception as exc:
+            if snap is None:
+                raise
+            snap.restore()
+            fn_span.set("status", "rolled_back").set("stage", stage)
+            return None, exc, stage, (time.perf_counter() - started) * 1e3
+        fn_span.set("status", "promoted")
+        fn_span.set("webs_promoted", stats.webs_promoted)
+        return stats, None, stage, (time.perf_counter() - started) * 1e3
+
+
 class PromotionPipeline:
     """The user-facing transactional pass manager around
     :func:`promote_function`.
@@ -201,22 +262,22 @@ class PromotionPipeline:
     all-or-nothing pass manager (no snapshot overhead, exceptions
     propagate, divergence is only recorded in ``output_matches``).
 
-    ``jobs`` > 1 fans phases 3+4 out over that many shared-nothing worker
-    processes (``jobs=0`` means one per CPU); results merge in module
-    order, so every table, statistic, and diagnostic is identical to a
-    serial run.  Parallel mode requires ``transactional=True`` — workers
-    report failures as rollbacks, and phase-5 bisection needs the
-    snapshots.  ``use_cache`` memoizes dominator trees, IDFs, and
-    liveness across phases (per run, per worker).
-
-    ``resilience`` (a :class:`~repro.robustness.ResilienceOptions`)
-    additionally arms per-function deadlines, bounded retry with seeded
-    backoff, broken-pool recovery, poison-function quarantine, and
-    optional chaos injection around the worker pool; it requires
-    ``jobs != 1``.  A quarantined function keeps its pre-promotion IR —
+    Phases 3+4 run in-process unless ``resilience`` (a
+    :class:`~repro.robustness.ResilienceOptions`) is set: then they fan
+    out over ``jobs`` shared-nothing worker processes (``jobs=0`` means
+    one per CPU) under the resilient executor — per-function deadlines,
+    bounded retry with seeded backoff, broken-pool recovery,
+    poison-function quarantine, and optional chaos injection.  Results
+    merge in module order, so every table, statistic, and diagnostic is
+    identical to an in-process run.  ``resilience`` requires
+    ``jobs != 1``, and ``jobs != 1`` requires ``transactional=True`` —
+    workers report failures as rollbacks, and phase-5 bisection needs
+    the snapshots.  A quarantined function keeps its pre-promotion IR —
     behaviour-preserving by construction — and the run is reported as
     *degraded* (``diagnostics.degraded``, CLI exit code 3) rather than
-    failed.
+    failed.  ``use_cache`` memoizes dominator trees, IDFs, and liveness
+    across phases in a cache that lives for one run (one attempt, in a
+    worker).
     """
 
     def __init__(
@@ -236,8 +297,6 @@ class PromotionPipeline:
         resilience: Optional[ResilienceOptions] = None,
         observability: Optional[Observability] = None,
         decisions: Optional[DecisionJournal] = None,
-        analysis_cache: Optional[AnalysisCache] = None,
-        batch_size="auto",
         keep_pool: bool = True,
     ) -> None:
         self.options = options or PromotionOptions()
@@ -259,11 +318,12 @@ class PromotionPipeline:
         #: False pins phases 2 and 5 to the interpreter's classic
         #: dispatch loop — the timing harness's baseline arm.
         self.compiled_interpreter = compiled_interpreter
-        #: When set, phases 3+4 run under the resilient executor:
-        #: per-function deadlines, retry with backoff, quarantine, and
-        #: (optionally) chaos injection.  Requires parallel execution —
-        #: deadlines and chaos act on worker processes, and a crashed or
-        #: hung in-process attempt could not be recovered.
+        #: When set, phases 3+4 run in worker processes under the
+        #: resilient executor: per-function deadlines, retry with
+        #: backoff, quarantine, and (optionally) chaos injection.
+        #: Requires parallel execution — deadlines and chaos act on
+        #: worker processes, and a crashed or hung in-process attempt
+        #: could not be recovered.
         if resilience is not None and jobs == 1:
             raise ValueError(
                 "resilience options require parallel execution (jobs != 1): "
@@ -276,21 +336,6 @@ class PromotionPipeline:
         #: The promotion decision journal; ``None`` (the default) keeps
         #: the driver's decision sites on the null path.
         self.decisions = decisions
-        #: A caller-owned cache to use instead of a fresh per-run one —
-        #: how a long-lived service keeps analyses warm across requests.
-        #: Entries are fingerprint-validated on every lookup, so reuse
-        #: can only change speed, never results.  Implies ``use_cache``.
-        self.analysis_cache = analysis_cache
-        #: Functions per worker batch: ``"auto"`` sizes batches from the
-        #: warm pool's cost model; an integer forces fixed-count batches
-        #: (1 reproduces the old one-task-per-function dispatch).
-        if batch_size != "auto" and (
-            not isinstance(batch_size, int) or batch_size < 1
-        ):
-            raise ValueError(
-                f"batch_size must be 'auto' or a positive int, got {batch_size!r}"
-            )
-        self.batch_size = batch_size
         #: False shuts this run's warm worker pool down afterwards
         #: instead of leaving it resident for the next run.
         self.keep_pool = keep_pool
@@ -299,15 +344,9 @@ class PromotionPipeline:
         result = PipelineResult(module)
         result.observability = self.observability
         obs = self.observability
-        if self.analysis_cache is not None:
-            cache = self.analysis_cache
-        else:
-            cache = AnalysisCache() if self.use_cache else None
+        cache = AnalysisCache() if self.use_cache else None
         if cache is not None:
             result.cache_stats = CacheStats()
-        # A shared (cross-run) cache carries cumulative counters; report
-        # only this run's delta.
-        stats_before = cache.stats.copy() if cache is not None else None
         result.decisions = self.decisions
         with activate(cache), activate_metrics(
             obs.metrics if obs.enabled else None
@@ -316,12 +355,12 @@ class PromotionPipeline:
         ):
             self._run_phases(module, result)
         if cache is not None:
-            result.cache_stats.absorb(cache.stats.since(stats_before))
+            result.cache_stats.absorb(cache.stats)
         if obs.enabled:
             self._finalize_observability(result)
         if self.decisions is not None:
             result.diagnostics.decisions = self.decisions.summary()
-        if not self.keep_pool and self.jobs != 1:
+        if not self.keep_pool and self.resilience is not None:
             from repro.parallel.pool import shutdown_pool
 
             shutdown_pool(resolve_jobs(self.jobs))
@@ -339,7 +378,6 @@ class PromotionPipeline:
             "compiled_interpreter": self.compiled_interpreter,
             "transactional": self.transactional,
             "max_steps": self.max_steps,
-            "batch_size": self.batch_size,
             "keep_pool": self.keep_pool,
             "resilience": None if resilience is None else resilience.as_dict(),
         }
@@ -467,14 +505,16 @@ class PromotionPipeline:
         # transaction per function, verified before committing.
         snapshots: Dict[str, FunctionSnapshot] = {}
         committed: Dict[str, FunctionState] = {}
-        jobs = 1 if self.jobs == 1 else resolve_jobs(self.jobs)
+        jobs = 1 if self.resilience is None else resolve_jobs(self.jobs)
         with tracer.span("phase:promote", category="phase") as promote_span:
-            ran_parallel = False
-            if jobs > 1 and len(prepared) > 1:
-                ran_parallel = self._phase34_parallel(
+            in_workers = (
+                jobs > 1
+                and len(prepared) > 1
+                and self._phase34_workers(
                     module, result, prepared, snapshots, committed, jobs
                 )
-            if not ran_parallel:
+            )
+            if not in_workers:
                 self._phase34_serial(
                     module, result, trees, prepared, snapshots, committed
                 )
@@ -493,6 +533,33 @@ class PromotionPipeline:
 
     # -- phases 3+4 ------------------------------------------------------
 
+    def _roll_back(self, result: PipelineResult, name: str, **record):
+        """Record ``name`` as rolled back (its IR already is)."""
+        result.stats[name] = FunctionPromotionStats()
+        self._mark_decision(name, "rolled_back")
+        return result.diagnostics.record_rollback(name, **record)
+
+    def _commit(
+        self,
+        result: PipelineResult,
+        function: Function,
+        stats: FunctionPromotionStats,
+        duration_ms: float,
+        snap: Optional[FunctionSnapshot],
+        snapshots: Dict[str, FunctionSnapshot],
+        committed: Dict[str, FunctionState],
+    ):
+        """Record ``function`` as promoted; keep its snapshot and
+        promoted state for phase-5 bisection."""
+        name = function.name
+        result.stats[name] = stats
+        if snap is not None:
+            snapshots[name] = snap
+            committed[name] = capture_state(function)
+        return result.diagnostics.record_promoted(
+            name, duration_ms=duration_ms, webs_promoted=stats.webs_promoted
+        )
+
     def _phase34_serial(
         self,
         module: Module,
@@ -502,173 +569,34 @@ class PromotionPipeline:
         snapshots: Dict[str, FunctionSnapshot],
         committed: Dict[str, FunctionState],
     ) -> None:
-        diags = result.diagnostics
         tracer = self.observability.tracer
         model = self.alias_model_factory(module)
         for name in prepared:
             function = module.functions[name]
             snap = snapshot_function(function) if self.transactional else None
-            started = time.perf_counter()
-            stage = "memssa"
-            # Span names mirror the worker path (scheduler._promote_one)
-            # exactly, so serial and parallel runs produce the same tree.
-            with tracer.span("function:" + name, category="promote") as fn_span:
-                try:
-                    with tracer.span("stage:memssa", category="promote"):
-                        mssa = build_memory_ssa(function, model)
-                    stage = "promote"
-                    with tracer.span("stage:promote", category="promote"):
-                        stats = promote_function(
-                            function, mssa, result.profile, trees[name], self.options
-                        )
-                    stage = "cleanup"
-                    with tracer.span("stage:cleanup", category="promote"):
-                        remove_dummy_loads(function)
-                        propagate_copies(function)
-                        dead_code_elimination(function)
-                        dead_memory_elimination(function)
-                    stage = "verify"
-                    with tracer.span("stage:verify", category="promote"):
-                        if self.verify:
-                            verify_function(
-                                function, check_ssa=True, check_memssa=True
-                            )
-                except Exception as exc:
-                    if snap is None:
-                        raise
-                    snap.restore()
-                    fn_span.set("status", "rolled_back").set("stage", stage)
-                    result.stats[name] = FunctionPromotionStats()
-                    self._mark_decision(name, "rolled_back")
-                    diags.record_rollback(
-                        name,
-                        stage=stage,
-                        error=exc,
-                        duration_ms=(time.perf_counter() - started) * 1e3,
-                    )
-                else:
-                    fn_span.set("status", "promoted")
-                    fn_span.set("webs_promoted", stats.webs_promoted)
-                    result.stats[name] = stats
-                    if snap is not None:
-                        snapshots[name] = snap
-                        committed[name] = capture_state(function)
-                    diags.record_promoted(
-                        name,
-                        duration_ms=(time.perf_counter() - started) * 1e3,
-                        webs_promoted=stats.webs_promoted,
-                    )
-
-    def _phase34_parallel(
-        self,
-        module: Module,
-        result: PipelineResult,
-        prepared: List[str],
-        snapshots: Dict[str, FunctionSnapshot],
-        committed: Dict[str, FunctionState],
-        jobs: int,
-    ) -> bool:
-        """Phases 3+4 over a worker pool; False means fall back to serial
-        (nothing was modified)."""
-        if self.resilience is not None:
-            return self._phase34_resilient(
-                module, result, prepared, snapshots, committed, jobs
-            )
-        diags = result.diagnostics
-        obs = self.observability
-        try:
-            outcomes, transport = promote_functions_parallel(
-                module,
-                prepared,
+            stats, error, stage, duration_ms = promote_stages(
+                function,
+                model,
                 result.profile,
+                trees[name],
                 self.options,
-                self.alias_model_factory,
                 self.verify,
-                jobs,
-                use_cache=self.use_cache,
-                observe=obs.enabled,
-                batch_size=self.batch_size,
-                extras=self._worker_extras(),
+                tracer,
+                snap,
             )
-        except SchedulerError as exc:
-            diags.warn(str(exc))
-            diags.fallback_reason = exc.as_dict()
-            obs.tracer.add_record(
-                "event:serial-fallback",
-                category="event",
-                error_type=exc.error_type,
-                detail=exc.detail,
-                function=exc.function,
-            )
-            obs.metrics.inc("pipeline.serial_fallbacks")
-            return False
-        result.jobs_used = jobs
-        result.transport_stats = transport
-        if obs.enabled:
-            metrics = obs.metrics
-            metrics.inc("parallel.batches", transport.batches)
-            metrics.inc("parallel.functions_shipped", transport.functions_shipped)
-            metrics.inc("parallel.functions_reused", transport.functions_reused)
-            metrics.inc("parallel.installs_full", transport.installs_full)
-            metrics.inc("parallel.installs_delta", transport.installs_delta)
-            metrics.inc("parallel.transport_bytes_out", transport.bytes_out)
-            metrics.inc("parallel.transport_bytes_in", transport.bytes_in)
-        for name, outcome in zip(prepared, outcomes):
-            function = module.functions[name]
-            # Graft the worker's spans (its pid is the trace lane) and
-            # absorb its metrics and decision documents — in module
-            # order, so the aggregate is identical to a serial run.
-            obs.tracer.merge(outcome.spans)
-            obs.metrics.absorb(outcome.metrics)
-            if self.decisions is not None:
-                self.decisions.absorb(outcome.decisions)
-            if outcome.cache_stats is not None and result.cache_stats is not None:
-                result.cache_stats.absorb(outcome.cache_stats)
-            if outcome.status != FunctionResult.PROMOTED:
-                # The worker already restored its copy; this module's
-                # function was never touched — record the rollback with
-                # the stage and error the worker observed.
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name,
-                    stage=outcome.stage,
-                    reason=outcome.reason,
-                    error_type=outcome.error_type,
-                    duration_ms=outcome.duration_ms,
+            if error is not None:
+                self._roll_back(
+                    result, name, stage=stage, error=error, duration_ms=duration_ms
                 )
-                continue
-            snap = snapshot_function(function)
-            try:
-                outcome.payload.install(module)
-            except TransportError as exc:
-                snap.restore()
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
-                    name,
-                    stage="install",
-                    error=exc,
-                    duration_ms=outcome.duration_ms,
+            else:
+                self._commit(
+                    result, function, stats, duration_ms, snap, snapshots, committed
                 )
-                continue
-            stats = FunctionPromotionStats()
-            stats.absorb(outcome.stats)
-            result.stats[name] = stats
-            snapshots[name] = snap
-            committed[name] = capture_state(function)
-            diags.record_promoted(
-                name,
-                duration_ms=outcome.duration_ms,
-                webs_promoted=stats.webs_promoted,
-            )
-        return True
 
     def _worker_extras(self) -> Optional[Dict[str, object]]:
         """Observability state to carry into worker processes: whether to
         journal decisions, and the distributed trace id for their root
-        spans.  ``None`` when there is nothing to carry — the warm pool
-        can then reuse fully generic workers."""
+        spans.  ``None`` when there is nothing to carry."""
         extras: Dict[str, object] = {}
         if self.decisions is not None:
             extras["decisions"] = True
@@ -677,7 +605,7 @@ class PromotionPipeline:
             extras["trace"] = trace_id
         return extras or None
 
-    def _phase34_resilient(
+    def _phase34_workers(
         self,
         module: Module,
         result: PipelineResult,
@@ -686,51 +614,64 @@ class PromotionPipeline:
         committed: Dict[str, FunctionState],
         jobs: int,
     ) -> bool:
-        """Phases 3+4 under the resilient executor: deadlines, retry with
-        backoff, crash recovery, and quarantine.  False means fall back
-        to serial (nothing was modified)."""
+        """Phases 3+4 on the warm worker pool under the resilient
+        executor: deadlines, retry with backoff, crash recovery, and
+        quarantine.  False means fall back to in-process (nothing was
+        modified)."""
         diags = result.diagnostics
         obs = self.observability
-        executor = ResilientExecutor(
-            module,
-            prepared,
-            result.profile,
-            self.options,
-            self.alias_model_factory,
-            self.verify,
-            jobs,
-            self.use_cache,
-            self.resilience,
-            observe=obs.enabled,
-            extras=self._worker_extras(),
-        )
         try:
-            outcomes, report = executor.run()
+            outcomes, report, transport = promote_functions_parallel(
+                module,
+                prepared,
+                result.profile,
+                self.options,
+                self.alias_model_factory,
+                self.verify,
+                jobs,
+                self.use_cache,
+                self.resilience,
+                observe=obs.enabled,
+                extras=self._worker_extras(),
+            )
         except ResilientExecutorError as exc:
+            detail = str(exc).splitlines()[0]
             diags.warn(str(exc))
             diags.fallback_reason = {
                 "error_type": type(exc).__name__,
-                "detail": str(exc).splitlines()[0],
+                "detail": detail,
                 "function": None,
             }
             obs.tracer.add_record(
                 "event:serial-fallback",
                 category="event",
                 error_type=type(exc).__name__,
-                detail=str(exc).splitlines()[0],
+                detail=detail,
             )
             obs.metrics.inc("pipeline.serial_fallbacks")
             return False
         result.jobs_used = jobs
+        result.transport_stats = transport
         diags.resilience = report.as_dict()
         diags.resilience["options"] = self.resilience.as_dict()
+        if obs.enabled:
+            metrics = obs.metrics
+            metrics.inc("parallel.batches", transport.batches)
+            metrics.inc("parallel.functions_shipped", transport.functions_shipped)
+            metrics.inc("parallel.installs_full", transport.installs_full)
+            metrics.inc("parallel.installs_delta", transport.installs_delta)
+            metrics.inc("parallel.transport_bytes_out", transport.bytes_out)
+            metrics.inc("parallel.transport_bytes_in", transport.bytes_in)
         for outcome in outcomes:
             name = outcome.name
             function = module.functions[name]
+            attempts = outcome.history.attempts
             diags.attempt_histories[name] = outcome.history.as_dict()
             # One synthetic span per attempt (reconstructed from the
             # retry history — earlier attempts left no live spans), then
-            # the final attempt's real worker spans.
+            # the final attempt's real worker spans (its pid is the trace
+            # lane), metrics, and decision document — in module order,
+            # so the aggregate is identical to an in-process run.
             for rec in outcome.history.records:
                 obs.tracer.add_record(
                     "attempt:" + name,
@@ -764,29 +705,30 @@ class PromotionPipeline:
                     error_type=outcome.error_type,
                     stage=outcome.stage,
                     duration_ms=outcome.duration_ms,
-                    attempts=outcome.history.attempts,
+                    attempts=attempts,
                 )
                 continue
             if outcome.status != ResilientOutcome.PROMOTED:
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                record = diags.record_rollback(
+                # The worker already restored its copy; this module's
+                # function was never touched — record the rollback with
+                # the stage and error the worker observed.
+                record = self._roll_back(
+                    result,
                     name,
                     stage=outcome.stage,
                     reason=outcome.reason,
                     error_type=outcome.error_type,
                     duration_ms=outcome.duration_ms,
                 )
-                record.attempts = outcome.history.attempts
+                record.attempts = attempts
                 continue
             snap = snapshot_function(function)
             try:
                 outcome.payload.install(module)
             except TransportError as exc:
                 snap.restore()
-                result.stats[name] = FunctionPromotionStats()
-                self._mark_decision(name, "rolled_back")
-                diags.record_rollback(
+                self._roll_back(
+                    result,
                     name,
                     stage="install",
                     error=exc,
@@ -795,15 +737,16 @@ class PromotionPipeline:
                 continue
             stats = FunctionPromotionStats()
             stats.absorb(outcome.stats)
-            result.stats[name] = stats
-            snapshots[name] = snap
-            committed[name] = capture_state(function)
-            record = diags.record_promoted(
-                name,
-                duration_ms=outcome.duration_ms,
-                webs_promoted=stats.webs_promoted,
+            record = self._commit(
+                result,
+                function,
+                stats,
+                outcome.duration_ms,
+                snap,
+                snapshots,
+                committed,
             )
-            record.attempts = outcome.history.attempts
+            record.attempts = attempts
         return True
 
     # -- phase 5 ---------------------------------------------------------
@@ -875,9 +818,8 @@ class PromotionPipeline:
             else:
                 committed[name].install(module.functions[name])
         for name in culprits:
-            result.stats[name] = FunctionPromotionStats()
-            self._mark_decision(name, "rolled_back")
-            diags.record_rollback(
+            self._roll_back(
+                result,
                 name,
                 stage="re-execution",
                 reason="behaviour divergence isolated by bisection",

@@ -1,7 +1,10 @@
 """The resilient promotion executor.
 
-Wraps the shared-nothing scheduler's worker pool with the machinery a
-production promotion service needs when workers misbehave:
+The one function-level worker dispatch
+(:func:`repro.parallel.scheduler.promote_functions_parallel` runs it):
+phases 3+4 on the shared-nothing warm worker pool, one task per
+function attempt, with the machinery a production promotion service
+needs when workers misbehave:
 
 * **Deadlines.**  Each function attempt gets a wall-clock budget.  A
   worker heartbeat (written to a manager-hosted scoreboard at task
@@ -20,11 +23,10 @@ production promotion service needs when workers misbehave:
 
 * **Crash recovery.**  A dead worker breaks the whole
   ``ProcessPoolExecutor``.  The executor rebuilds the warm pool
-  (:meth:`repro.parallel.pool.WarmPool.rebuild` — the same recovery
-  path the plain scheduler uses), attributes the crash to the task the
-  dead process had claimed on the scoreboard (innocent workers are
-  terminated with SIGTERM by the pool and are *not* penalized), and
-  resubmits everything incomplete.  Rebuilt workers re-synchronize from
+  (:meth:`repro.parallel.pool.WarmPool.rebuild`), attributes the crash
+  to the task the dead process had claimed on the scoreboard (innocent
+  workers are terminated with SIGTERM by the pool and are *not*
+  penalized), and resubmits everything incomplete.  Rebuilt workers re-synchronize from
   the pool's published epoch board, so recovery does not re-broadcast
   the module.
 
@@ -36,7 +38,8 @@ production promotion service needs when workers misbehave:
 Per-function attempt histories, the quarantine register, and executor
 counters (retries, timeouts, crashes, rebuilds) are returned alongside
 the outcomes so the pipeline can thread them into
-:class:`~repro.robustness.diagnostics.PipelineDiagnostics`.
+:class:`~repro.robustness.diagnostics.PipelineDiagnostics`; what the
+run shipped and received accumulates in :attr:`ResilientExecutor.transport`.
 """
 
 from __future__ import annotations
@@ -205,13 +208,14 @@ def _record_stage(name: str, stage: str) -> None:
 
 def _resilient_promote_one(
     epoch_board, scoreboard, ir_key: str, meta_key: str, name: str, attempt: int
-) -> Tuple[int, "scheduler.FunctionResult"]:
+) -> Tuple[int, "scheduler.FunctionResult", Dict[str, int]]:
     """One attempt at one function: heartbeat, claim, sync, chaos, promote.
 
     Runs on a warm-pool worker: the epoch sync is a no-op when the
     worker already holds the published module, and the chaos config
     rides the epoch's meta blob (``extras``), so a rebuilt worker picks
-    everything back up from the board on its first task.
+    everything back up from the board on its first task.  Returns the
+    attempt number, the result, and the sync's install accounting.
     """
     from repro.parallel import scheduler
     from repro.parallel.pool import _sync_worker
@@ -228,8 +232,9 @@ def _resilient_promote_one(
     if board is not None:
         scheduler._STAGE_OBSERVER = _record_stage
     chaos = None
+    sync = {"installs_full": 0, "installs_delta": 0}
     try:
-        _sync_worker(epoch_board, ir_key, meta_key)
+        sync = _sync_worker(epoch_board, ir_key, meta_key)
         state = scheduler._WORKER_STATE or {}
         chaos = (state.get("extras") or {}).get("chaos")
         if chaos is not None:
@@ -250,7 +255,7 @@ def _resilient_promote_one(
                 board[f"claim:{pid}"] = None
             except Exception:
                 pass
-    return attempt, result
+    return attempt, result, sync
 
 
 # -- parent side ----------------------------------------------------------
@@ -297,6 +302,7 @@ class ResilientExecutor:
         pool=None,
         extras: Optional[Dict[str, object]] = None,
     ) -> None:
+        from repro.parallel.scheduler import TransportStats
         from repro.parallel.transport import export_profile
 
         self.names = list(names)
@@ -304,6 +310,9 @@ class ResilientExecutor:
         self.resilience = resilience
         self.quarantine = Quarantine(resilience.max_attempts)
         self.report = ExecutorReport()
+        #: What this run shipped and received (filled by :meth:`run`).
+        self.transport = TransportStats()
+        self.transport.functions_shipped = len(self.names)
         self._module = module
         self._pool = pool
         self._profile_map = export_profile(profile, module)
@@ -331,13 +340,15 @@ class ResilientExecutor:
         outcomes: Dict[str, ResilientOutcome] = {}
         with pool.lock:
             pool.runs += 1
+            self.transport.pool_generation = pool.generation
             try:
                 meta_blob = pickle.dumps(
                     self._meta, protocol=pickle.HIGHEST_PROTOCOL
                 )
-                self._ir_key, self._meta_key, _, _ = publish_epoch(
+                self._ir_key, self._meta_key, published = publish_epoch(
                     pool, self._module, meta_blob
                 )
+                self.transport.bytes_out += published
                 epoch_board = pool.board()
             except Exception as exc:
                 detail = (str(exc) or type(exc).__name__).splitlines()[0]
@@ -378,9 +389,13 @@ class ResilientExecutor:
     ) -> bool:
         """Drive the warm pool until every function resolves or the pool
         must be rebuilt (hang or crash).  Returns True when any function
-        resolved.  A clean round leaves the pool warm; a rebuild hands
-        back fresh workers that resync from the epoch board."""
+        resolved or any attempt was charged: a charge moves its function
+        toward quarantine, so a poison function that crashes the pool
+        before anything else completes still converges.  A clean round
+        leaves the pool warm; a rebuild hands back fresh workers that
+        resync from the epoch board."""
         resolved_before = len(outcomes)
+        charged_before = sum(state.attempts for state in states.values())
         submitted: Dict[str, object] = {}
         procs: Dict[int, object] = {}
         rebuild = False
@@ -408,6 +423,7 @@ class ResilientExecutor:
                     except BrokenProcessPool:
                         raise _RebuildPool()
                     submitted[name] = future
+                    self.transport.batches += 1
                 # The pool's worker processes spawn lazily; keep the
                 # freshest pid -> Process view for crash attribution.
                 procs.update(pool.processes())
@@ -428,7 +444,7 @@ class ResilientExecutor:
                     name = by_future[future]
                     del submitted[name]
                     try:
-                        _, result = future.result()
+                        _, result, sync = future.result()
                     except BrokenProcessPool:
                         broken = True
                         continue
@@ -445,6 +461,10 @@ class ResilientExecutor:
                             reason=(str(exc) or type(exc).__name__).splitlines()[0],
                         )
                         continue
+                    self.transport.installs_full += sync["installs_full"]
+                    self.transport.installs_delta += sync["installs_delta"]
+                    if result.payload is not None:
+                        self.transport.bytes_in += len(result.payload.data)
                     self._absorb(states[name], result, outcomes)
                 if broken:
                     self._attribute_crash(states, outcomes, submitted, board, procs)
@@ -475,7 +495,9 @@ class ResilientExecutor:
                 # the workers, keep the board; the replacement workers
                 # resync lazily on their first task.
                 pool.rebuild(kill=True)
-        return len(outcomes) > resolved_before
+        return len(outcomes) > resolved_before or charged_before < sum(
+            state.attempts for state in states.values()
+        )
 
     # -- outcome accounting ----------------------------------------------
 

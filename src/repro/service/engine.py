@@ -1,11 +1,11 @@
 """The promotion engine: a warm worker pool behind the daemon.
 
-Each pool thread owns a persistent :class:`AnalysisCache` — the warm
-state a long-lived service amortizes across requests.  The cache is
-fingerprint-keyed, so sharing it across unrelated jobs can only change
-speed, never results (a different program simply misses).  Jobs that
-request ``jobs != 1`` additionally spin the resilient process executor
-underneath their pool thread, and the job's deadline is propagated into
+Every job runs a fresh :class:`~repro.promotion.pipeline.PromotionPipeline`
+with its own per-run analysis cache, so nothing a job computes is kept
+alive after it (analysis caches are keyed by function identity and could
+never hit across jobs anyway).  Jobs that request ``jobs != 1`` run
+phases 3+4 on the resilient process executor underneath their pool
+thread, and the job's deadline is propagated into
 :class:`~repro.robustness.executor.ResilienceOptions` as the
 per-function timeout, so a hung worker process is killed by the
 executor's own watchdog rather than orphaned.  Those process workers
@@ -20,8 +20,7 @@ caller gets a 504 immediately, the thread runs to completion in the
 background, and the engine accounts for it (``abandoned`` gauge, slot
 pressure visible in ``/healthz``).  An abandoned job's result is
 discarded, never cached; shared state stays consistent because every
-job builds its own module from source (shared-nothing) and the analysis
-caches validate by fingerprint.
+job builds its own module from source (shared-nothing).
 
 Failure taxonomy: anything the *client* caused (malformed source, input
 over limits, runtime error in the submitted program) raises a
@@ -53,7 +52,6 @@ from repro.frontend.lower import compile_source
 from repro.ir.module import Module
 from repro.ir.parser import IRParseError, parse_module
 from repro.ir.printer import print_module
-from repro.parallel.cache import AnalysisCache
 from repro.profile.interp import Interpreter, InterpreterError
 from repro.promotion.pipeline import PromotionPipeline
 from repro.robustness.executor import ResilienceOptions
@@ -66,7 +64,7 @@ class EngineCrashError(RuntimeError):
 
 
 class PromotionEngine:
-    """Warm thread pool + per-thread analysis caches + result cache."""
+    """Warm thread pool + result cache."""
 
     def __init__(
         self,
@@ -79,7 +77,6 @@ class PromotionEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="promotion-worker"
         )
-        self._thread_state = threading.local()
         self._result_cache: "collections.OrderedDict[str, JobResult]" = (
             collections.OrderedDict()
         )
@@ -99,13 +96,6 @@ class PromotionEngine:
         with self._counter_lock:
             self._job_seq += 1
             return f"job-{self._job_seq}"
-
-    def _thread_cache(self) -> AnalysisCache:
-        cache = getattr(self._thread_state, "analysis_cache", None)
-        if cache is None:
-            cache = AnalysisCache()
-            self._thread_state.analysis_cache = cache
-        return cache
 
     # -- the synchronous job body (runs in a pool thread) ----------------
 
@@ -238,10 +228,6 @@ class PromotionEngine:
             pipeline_kwargs["observability"] = observability
         if job.max_steps is not None:
             pipeline_kwargs["max_steps"] = job.max_steps
-        if job.jobs == 1 and job.use_cache:
-            # The warm path: this thread's persistent fingerprint-keyed
-            # cache.  Parallel jobs use per-worker caches instead.
-            pipeline_kwargs["analysis_cache"] = self._thread_cache()
         pipeline = PromotionPipeline(**pipeline_kwargs)
         result = pipeline.run(module)
 

@@ -1,9 +1,9 @@
 """Sticky routing primitives: rendezvous hashing over module fingerprints.
 
 The front tier (:mod:`repro.service.router`) spreads jobs across many
-daemon instances, but each instance's performance story — the epoch
-board, the dispatch cache, the per-thread analysis caches — depends on
-seeing the *same modules* again (docs/PERFORMANCE.md).  The routing key
+daemon instances, but each instance's warm state — the engine's result
+cache, the worker pools' published epochs — only pays off when it sees
+the *same modules* again (docs/PERFORMANCE.md).  The routing key
 is therefore the module fingerprint from
 :func:`repro.parallel.fingerprint.module_fingerprint`: two jobs that
 submit the same program land on the same shard, so its warm state keeps

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.frontend.cli import main
-from repro.parallel.scheduler import SchedulerError
+from repro.robustness import ResilientExecutorError
 
 #: Two promotable functions so chaos can poison one while the other and
 #: the program's behaviour survive.
@@ -164,26 +164,32 @@ def test_parallel_fallback_is_printed_under_diagnostics(
     import repro.promotion.pipeline as pipeline_module
 
     def explode(*args, **kwargs):
-        raise SchedulerError.wrap(
-            RuntimeError("pool initializer died"), function="step"
-        )
+        raise ResilientExecutorError("pool initializer died\nsecond line")
 
     monkeypatch.setattr(pipeline_module, "promote_functions_parallel", explode)
     out = tmp_path / "diag.json"
     code = main(
-        [source_file, "--promote", "--jobs", "2", "--diagnostics", str(out)]
+        [
+            source_file,
+            "--promote",
+            "--jobs",
+            "2",
+            "--timeout",
+            "60",
+            "--diagnostics",
+            str(out),
+        ]
     )
     captured = capsys.readouterr()
-    # The serial fallback completed the run; degraded exit, cause kept.
+    # The in-process fallback completed the run; degraded exit, cause kept.
     assert code == 3
     assert (
-        "repro-minic: parallel fallback: RuntimeError: pool initializer died"
-        in captured.err
+        "repro-minic: parallel fallback: ResilientExecutorError: "
+        "pool initializer died" in captured.err
     )
-    assert "in 'step'" in captured.err
     data = json.loads(out.read_text())
     assert data["fallback_reason"] == {
-        "error_type": "RuntimeError",
+        "error_type": "ResilientExecutorError",
         "detail": "pool initializer died",
-        "function": "step",
+        "function": None,
     }

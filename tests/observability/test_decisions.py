@@ -23,6 +23,7 @@ from repro.observability.decisions import (
     ambient,
 )
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 SOURCE = """
 int shared = 0;
@@ -37,11 +38,15 @@ int main() {
 """
 
 
-def run_with_journal(source, jobs=1, entry="main", args=()):
+def run_with_journal(source, jobs=1, entry="main", args=(), resilience=None):
     module = compile_source(source)
     journal = DecisionJournal()
     result = PromotionPipeline(
-        decisions=journal, jobs=jobs, entry=entry, args=list(args)
+        decisions=journal,
+        jobs=jobs,
+        entry=entry,
+        args=list(args),
+        resilience=resilience,
     ).run(module)
     return journal, result
 
@@ -66,7 +71,10 @@ def test_reconciliation_on_the_paper_workloads(name, jobs):
 
 def test_serial_and_parallel_journals_agree():
     serial, _ = run_with_journal(WORKLOADS["compress"].source, jobs=1)
-    parallel, _ = run_with_journal(WORKLOADS["compress"].source, jobs=2)
+    parallel, result = run_with_journal(
+        WORKLOADS["compress"].source, jobs=2, resilience=ResilienceOptions()
+    )
+    assert result.jobs_used == 2, "worker run fell back to in-process"
     assert serial.summary() == parallel.summary()
     assert serial.export() == parallel.export()
 

@@ -1,5 +1,6 @@
-"""Trace determinism: parallel runs replay the serial span tree, and
-chaos runs replay identical event sequences from the same seed."""
+"""Trace determinism: worker-process runs replay the in-process span
+tree, and chaos runs replay identical event sequences from the same
+seed."""
 
 from repro.frontend.lower import compile_source
 from repro.observability import Observability
@@ -25,16 +26,20 @@ int main() {
 
 #: Metrics that legitimately differ between serial and parallel runs:
 #: cache hit/miss counts depend on process boundaries, and the
-#: transport/lane/job counters describe the execution layer itself.
-EXECUTION_LAYER_PREFIXES = ("cache.", "parallel.")
+#: transport/lane/job/attempt counters describe the execution layer
+#: itself.
+EXECUTION_LAYER_PREFIXES = ("cache.", "parallel.", "resilience.")
 EXECUTION_LAYER_METRICS = ("pipeline.jobs_used",)
 
 
-def _span_tree(tracer):
-    """(name, children) shape of the trace — no ids, times, or lanes."""
+def _span_tree(tracer, attempts=True):
+    """(name, children) shape of the trace — no ids, times, or lanes.
+    ``attempts=False`` drops the resilient executor's per-attempt
+    records, which only a worker run has."""
     by_parent = {}
     for record in tracer.records:
-        by_parent.setdefault(record.parent, []).append(record)
+        if attempts or not record.name.startswith("attempt:"):
+            by_parent.setdefault(record.parent, []).append(record)
 
     def walk(record):
         return (record.name, [walk(c) for c in by_parent.get(record.id, [])])
@@ -62,21 +67,24 @@ def _run(jobs, resilience=None):
 
 def test_parallel_trace_replays_the_serial_span_tree():
     obs_serial, res_serial = _run(1)
-    obs_parallel, res_parallel = _run(4)
+    obs_parallel, res_parallel = _run(4, resilience=ResilienceOptions())
     assert res_parallel.jobs_used > 1, "parallel run fell back to serial"
-    assert _span_tree(obs_parallel.tracer) == _span_tree(obs_serial.tracer)
+    assert _span_tree(obs_parallel.tracer, attempts=False) == _span_tree(
+        obs_serial.tracer
+    )
 
 
 def test_parallel_metrics_match_serial_modulo_execution_layer():
     obs_serial, _ = _run(1)
-    obs_parallel, _ = _run(4)
+    obs_parallel, res_parallel = _run(4, resilience=ResilienceOptions())
+    assert res_parallel.jobs_used > 1, "parallel run fell back to serial"
     assert _comparable_metrics(obs_parallel.metrics) == _comparable_metrics(
         obs_serial.metrics
     )
 
 
 def test_worker_lanes_are_preserved_in_the_merged_trace():
-    obs, result = _run(2)
+    obs, result = _run(2, resilience=ResilienceOptions())
     assert result.jobs_used == 2
     parent_pid = obs.tracer.records[0].pid
     worker_pids = {

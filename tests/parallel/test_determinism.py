@@ -1,10 +1,11 @@
-"""Parallel promotion must be bit-identical to serial promotion.
+"""Worker-process promotion must be bit-identical to in-process promotion.
 
-The scheduler merges worker results in module order, so a ``jobs=4`` run
-must reproduce a ``jobs=1`` run exactly: same transformed IR, same
-Table 1/2 counts, same per-function statistics, and the same diagnostics
-JSON byte for byte (after zeroing wall-clock durations, which are not
-outputs).
+The worker dispatch merges results in module order, so a ``jobs=4``
+resilient run must reproduce a ``jobs=1`` run exactly: same transformed
+IR, same Table 1/2 counts, same per-function statistics, and the same
+diagnostics JSON byte for byte (after zeroing wall-clock durations,
+which are not outputs, and dropping the resilient executor's own
+report, which an in-process run does not have).
 """
 
 import json
@@ -15,18 +16,29 @@ from repro.bench.workloads import ORDER, WORKLOADS
 from repro.frontend.lower import compile_source
 from repro.ir.printer import print_module
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 
 def _run(name, jobs, use_cache=True):
     workload = WORKLOADS[name]
     module = compile_source(workload.source, name)
     pipeline = PromotionPipeline(
-        entry=workload.entry, args=list(workload.args), jobs=jobs, use_cache=use_cache
+        entry=workload.entry,
+        args=list(workload.args),
+        jobs=jobs,
+        use_cache=use_cache,
+        resilience=ResilienceOptions() if jobs != 1 else None,
     )
     result = pipeline.run(module)
+    if jobs != 1:
+        assert result.jobs_used == jobs, "worker run fell back to in-process"
     diagnostics = result.diagnostics.as_dict()
     for outcome in diagnostics["functions"]:
         outcome["duration_ms"] = 0.0
+        # Worker attempts are counted; in-process runs make none.
+        assert outcome.pop("attempts") == (1 if jobs != 1 else 0)
+    for key in ("resilience", "attempt_histories"):
+        diagnostics.pop(key, None)
     return {
         "ir": print_module(module),
         "static": [

@@ -1,9 +1,10 @@
-"""Parallel-to-serial fallback: the cause survives as structured data.
+"""A worker-only failure keeps its cause and never costs behaviour.
 
-A worker-side failure that makes the pool unusable must not lose its
-cause: the pipeline records a ``fallback_reason`` (exception type, first
-message line, the function whose result exposed it) in the diagnostics
-and completes serially.
+An alias-model factory that refuses to build inside worker processes
+fails every worker attempt during the epoch sync.  The resilient
+dispatch treats that like any deterministic per-function failure: each
+function is rolled back to its pre-promotion IR, the run completes with
+its behaviour preserved, and the diagnostics name the cause.
 """
 
 import multiprocessing
@@ -13,8 +14,8 @@ import pytest
 
 from repro.frontend.lower import compile_source
 from repro.memory.aliasing import AliasModel
-from repro.parallel.scheduler import SchedulerError
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 SOURCE = """
 int total = 0;
@@ -31,7 +32,7 @@ int main() {
 
 #: Recorded at import time in the parent.  Under the fork start method a
 #: worker inherits this value but has its own pid, so the factory below
-#: fails only inside workers — the parent's serial fallback still works.
+#: fails only inside workers — the parent's own phases still work.
 _PARENT_PID = os.getpid()
 
 
@@ -48,40 +49,27 @@ requires_fork = pytest.mark.skipif(
 
 
 @requires_fork
-def test_fallback_reason_is_recorded_and_run_completes_serially():
+def test_worker_only_failure_rolls_back_and_names_the_cause():
     module = compile_source(SOURCE)
-    result = PromotionPipeline(jobs=2, alias_model=_worker_hostile_factory).run(
-        module
-    )
+    result = PromotionPipeline(
+        jobs=2,
+        alias_model=_worker_hostile_factory,
+        resilience=ResilienceOptions(),
+    ).run(module)
     diags = result.diagnostics
 
-    reason = diags.fallback_reason
-    assert reason is not None
-    # The factory raised during the worker's lazy epoch sync, so the
-    # task itself failed (warm-pool workers have no initializer to kill);
-    # the structured reason names the exception type and the function
-    # whose batch exposed the failure.
-    assert reason["error_type"] == "RuntimeError"
-    assert "alias model refuses" in reason["detail"]
-    assert reason["function"] is None or reason["function"] in module.functions
-    assert diags.degraded
-
-    # The serial fallback finished the job with the parent-side factory.
-    assert sorted(diags.promoted_functions) == ["main", "step"]
+    # The dispatch itself ran; no fallback to in-process promotion.
+    assert result.jobs_used == 2
+    assert diags.fallback_reason is None
     assert result.output_matches
-    assert any("falling back to serial" in warning for warning in diags.warnings)
 
-
-def test_scheduler_error_wrap_carries_structure():
-    error = SchedulerError.wrap(
-        ValueError("first line\nsecond line"), function="step"
-    )
-    assert error.as_dict() == {
-        "error_type": "ValueError",
-        "detail": "first line",
-        "function": "step",
-    }
-    assert "while collecting 'step'" in str(error)
-    bare = SchedulerError.wrap(RuntimeError(""))
-    assert bare.as_dict()["detail"] == "RuntimeError"
-    assert bare.as_dict()["function"] is None
+    # Every function failed the same deterministic way — once, never
+    # retried — and kept its pre-promotion IR.
+    assert sorted(diags.rolled_back_functions) == ["main", "step"]
+    for outcome in diags.as_dict()["functions"]:
+        assert outcome["stage"] == "worker"
+        assert outcome["error_type"] == "RuntimeError"
+        assert "alias model refuses to build in a worker" in outcome["reason"]
+        assert outcome["attempts"] == 1
+    assert result.static_after.loads == result.static_before.loads
+    assert result.static_after.stores == result.static_before.stores

@@ -2,8 +2,8 @@
 
 After a warm run, mutating one function and re-running must publish a
 *delta* (one pickled blob holding just the changed functions) instead of
-re-anchoring the whole module, and unchanged functions whose profile
-slice also held must replay from the dispatch cache without a worker.
+re-anchoring the whole module, so a worker that already holds the
+module installs only the mutated function.
 """
 
 from repro.frontend.lower import compile_source
@@ -13,6 +13,7 @@ from repro.parallel.fingerprint import (
     module_fingerprint,
 )
 from repro.promotion.pipeline import PromotionPipeline
+from repro.robustness import ResilienceOptions
 
 SOURCE = """
 int a = 0;
@@ -39,8 +40,13 @@ MUTATED = SOURCE.replace("i < 3", "i < 5")
 
 def _run(source, jobs=2):
     module = compile_source(source, "incremental")
-    result = PromotionPipeline(entry="main", jobs=jobs).run(module)
+    result = PromotionPipeline(
+        entry="main",
+        jobs=jobs,
+        resilience=ResilienceOptions() if jobs != 1 else None,
+    ).run(module)
     assert result.diagnostics.fallback_reason is None
+    assert result.jobs_used == jobs
     return print_module(module), result.transport_stats
 
 
@@ -65,32 +71,24 @@ def test_content_fingerprint_is_stable_across_compiles():
 
 def test_only_the_mutated_function_reships():
     _, warmup = _run(SOURCE)
-    total = warmup.functions_shipped + warmup.functions_reused
-    assert warmup.functions_shipped > 0
+    assert warmup.functions_shipped == 3
+    assert warmup.bytes_out > 0
 
     mutated_ir, transport = _run(MUTATED)
 
-    # One delta entry for touch_b, not a new anchor: per-worker delta
-    # installs, and far fewer publication bytes than the warm-up anchor.
-    assert transport.installs_full == 0
-    assert transport.installs_delta >= 1
+    # One delta entry holding touch_b, not a new anchor: each worker
+    # that syncs installs that one function and nothing else (a worker
+    # the warm-up never reached still pulls the anchor first, then the
+    # same one-function delta), and publication costs far fewer bytes
+    # than the warm-up anchor.
+    assert 1 <= transport.installs_delta <= 2
+    assert transport.installs_delta >= transport.installs_full
     assert 0 < transport.bytes_out < warmup.bytes_out
 
-    # Only the mutated function dispatched; everything else replayed.
-    assert transport.functions_shipped == 1
-    assert transport.functions_reused == total - 1
-    assert transport.batches == 1
+    # Every function still runs on a worker: one task each.
+    assert transport.functions_shipped == 3
+    assert transport.batches == 3
 
     # And the mutated run still matches its own serial promotion.
     serial_ir, _ = _run(MUTATED, jobs=1)
     assert mutated_ir == serial_ir
-
-
-def test_reverting_the_mutation_replays_from_the_dispatch_cache():
-    _, warmup = _run(SOURCE)
-    total = warmup.functions_shipped + warmup.functions_reused
-    _run(MUTATED)
-    _, reverted = _run(SOURCE)
-    assert reverted.functions_shipped == 0
-    assert reverted.functions_reused == total
-    assert reverted.bytes_in == 0

@@ -1,4 +1,4 @@
-"""The promotion engine: byte-identity, warm caches, deadlines.
+"""The promotion engine: byte-identity, result cache, retention, deadlines.
 
 The invariant under test everywhere: a job that completes through the
 engine yields the same IR text, printed output, and return value as a
@@ -6,10 +6,13 @@ fresh serial pipeline run of the same payload.
 """
 
 import asyncio
+import gc
 import time
+import weakref
 
 import pytest
 
+from repro.bench.workloads import WORKLOADS
 from repro.frontend.limits import InputLimits
 from repro.robustness.faults import ChaosConfig
 from repro.frontend.lower import compile_source
@@ -173,3 +176,47 @@ def test_poisoned_parallel_job_degrades_but_preserves_behaviour(engine):
     assert result.return_value == rv
     assert result.output_matches
     assert engine.degraded_total == 1
+
+
+def test_jobs_retain_no_ir_and_score_fresh_run_cache_stats():
+    """Three jobs in a row on one source: nothing from the first job's
+    module outlives it, and every job's analysis-cache counts are those
+    of a fresh pipeline run — no cache is carried across jobs."""
+    workload = WORKLOADS["go"]
+    fresh = PromotionPipeline(entry=workload.entry, args=list(workload.args)).run(
+        compile_source(workload.source)
+    )
+    expected = fresh.cache_stats.as_dict()
+    assert expected["total_hits"] > 0
+
+    # No result cache, so every job really runs the pipeline.
+    eng = PromotionEngine(workers=1, result_cache_size=0)
+    first_job_functions = []
+    build = eng._build_module
+
+    def recording_build(job):
+        module = build(job)
+        if not first_job_functions:
+            first_job_functions.extend(
+                weakref.ref(function) for function in module.functions.values()
+            )
+        return module
+
+    eng._build_module = recording_build
+    try:
+        for index in range(3):
+            job = JobRequest(
+                "minic",
+                workload.source,
+                entry=workload.entry,
+                args=list(workload.args),
+            )
+            result = eng.execute(job, 60.0, f"job-{index}")
+            assert not result.cached
+            assert result.cache_stats == expected
+        gc.collect()
+        assert first_job_functions
+        alive = [ref().name for ref in first_job_functions if ref() is not None]
+        assert alive == [], f"first job's functions still alive: {alive}"
+    finally:
+        eng.shutdown(wait=True)
